@@ -16,7 +16,8 @@ driver's JSON result. Any failure exits non-zero without printing a result.
 it exits non-zero if any run fails or reports a wrong answer.
 
 --self-check runs every workload at its tiny size, untraced and traced, and
-fails if any metric is missing, renamed, or has the wrong unit.
+fails if any metric is missing, renamed, or has the wrong unit, or if a
+traced run times a layer outside the workload's layer map (LAYERS).
 """
 
 import argparse
@@ -27,6 +28,17 @@ import subprocess
 import sys
 
 WORKLOADS = ["certify_gray", "sampled_adversary", "serve_mix", "dist_sweep"]
+
+# The src/ layers each workload calls, directly or through the registry
+# (serve_mix) or the pool's workers (dist_sweep). The traced run times only
+# these; a per-layer metric of any other layer must read 0, and the driver
+# fails a run whose spans show a different set of layers.
+LAYERS = {
+    "certify_gray": ["graph", "core", "fault", "analysis", "common"],
+    "sampled_adversary": ["routing", "fault", "analysis", "common", "sim"],
+    "serve_mix": ["graph", "routing", "core", "fault", "sim", "serve"],
+    "dist_sweep": ["routing", "fault", "sim", "dist"],
+}
 DRIVER_TIMEOUT_S = 170
 
 
@@ -93,9 +105,10 @@ def expected_metrics(root, trace):
     return {row["name"]: row["unit"] for row in rows}
 
 
-def run_driver(bins, inputs, seconds, trace):
+def run_driver(bins, workload, inputs, seconds, trace):
     cmd = [os.path.join(bins, "perfbench_driver"), "--dir", inputs,
-           "--seconds", str(seconds), "--trace", "1" if trace else "0"]
+           "--seconds", str(seconds), "--trace", "1" if trace else "0",
+           "--layers", ",".join(LAYERS[workload])]
     # Own process group, so a timeout also stops forked pool workers.
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -112,8 +125,9 @@ def run_driver(bins, inputs, seconds, trace):
     return lines
 
 
-def check_result(result_line, expected):
-    """Parses the driver's JSON line and compares metrics to BENCHMARK.json."""
+def check_result(result_line, expected, workload):
+    """Parses the driver's JSON line and compares metrics to BENCHMARK.json
+    and to the workload's layer map."""
     try:
         result = json.loads(result_line)
     except json.JSONDecodeError:
@@ -130,6 +144,10 @@ def check_result(result_line, expected):
     for k, v in result["metrics"].items():
         if not isinstance(v["value"], (int, float)):
             fail(f"metric {k} has no numeric value")
+        layer = k.split(".")[0]
+        if ("." in k and layer != "trace" and layer not in LAYERS[workload]
+                and v["value"] != 0):
+            fail(f"{workload} reports {k} but does not call the {layer} layer")
     return result
 
 
@@ -137,8 +155,9 @@ def self_check(root, bins):
     for workload in WORKLOADS:
         inputs = generate(bins, workload, 1, tiny=True)
         for trace in (False, True):
-            lines = run_driver(bins, inputs, 1, trace)
-            result = check_result(lines[-1], expected_metrics(root, trace))
+            lines = run_driver(bins, workload, inputs, 1, trace)
+            result = check_result(lines[-1], expected_metrics(root, trace),
+                                  workload)
             if not result["correct"] or result["failed"] != 0:
                 fail(f"{workload} trace={int(trace)}: incorrect answers")
             print(f"self-check {workload} trace={int(trace)}: "
@@ -167,8 +186,9 @@ def main():
     expected = expected_metrics(root, bool(args.trace))
     for workload in WORKLOADS if args.workload == "all" else [args.workload]:
         inputs = generate(bins, workload, args.seed, tiny=False)
-        lines = run_driver(bins, inputs, args.seconds, bool(args.trace))
-        result = check_result(lines[-1], expected)
+        lines = run_driver(bins, workload, inputs, args.seconds,
+                           bool(args.trace))
+        result = check_result(lines[-1], expected, workload)
         sys.stdout.write("\n".join(lines) + "\n")
         sys.stdout.flush()
         if args.workload == "all" and not result["correct"]:

@@ -25,6 +25,8 @@ struct Ctx {
   Tracer tracer;
   WorkloadSpec spec;
   unsigned nproc = 1;
+  // The layers the workload calls (its layer map, from run.py).
+  std::vector<std::string> layers;
 
   // Correctness accounting. attempted counts answered operations and
   // oracle re-evaluations; failed counts error responses, oracle
@@ -39,7 +41,7 @@ struct Ctx {
   double dist_busy_s = 0.0;
   double dist_wall_s = 0.0;
   std::uint64_t dist_worker_peak_kb = 0;
-  std::uint64_t dist_passes = 0;  // rounds (or probe passes) the pools served
+  std::uint64_t dist_passes = 0;  // rounds the pools served
 
   // serve_mix: the request stream and the registry's counters of the
   // latest round.
@@ -85,8 +87,8 @@ class Workload {
 
 std::unique_ptr<Workload> make_workload(const std::string& name);
 
-// Per-layer metrics from the traced run's spans, plus the layer probes that
-// supply spans for layers the workload's own calls do not reach.
+// Per-layer metrics from the traced run's spans, plus the probes that
+// isolate single calls within the layers the workload reaches.
 struct Metric {
   std::string name;
   double value = 0.0;

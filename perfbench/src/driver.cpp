@@ -1,18 +1,21 @@
 // perfbench_driver: runs one generated workload and reports its metrics.
 //
 //   perfbench_driver --dir <inputs> --seconds <S> --trace <0|1>
+//                    [--layers <layer,layer,...>]
 //
-// 1. Set-up, repeated (at least three times, for about two seconds);
-//    setup_s is the median.
+// 1. Set-up, repeated (at least seven times, and for at least two
+//    seconds); setup_s is the median. The first, cold set-up is also
+//    reported from process start (`setups … cold_from_start_s=`).
 // 2. Timed phase: a warm-up round, then rounds of the workload's fixed
 //    work until the rounds have taken --seconds (at least two measured).
 //    The warm-up round's answers are checked by the oracles; every later
 //    round must reproduce them exactly. Times and rates are medians over
 //    the measured rounds; latencies pool them.
 // 3. --trace 0 prints the end-to-end metrics. --trace 1 alternates
-//    untraced and traced rounds (trace.overhead compares them), probes the
-//    layers the workload does not call, and prints the per-layer metrics
-//    derived from the spans, which it also writes to spans.tsv.
+//    untraced and traced rounds (trace.overhead compares them), runs the
+//    layer probes (see probe.cpp), checks the spans against the workload's
+//    layer map (--layers), and prints the per-layer metrics derived from
+//    the spans, which it also writes to spans.tsv.
 //
 // Every result carries the host context: nproc, ISA, build type, and the
 // kernel and lane width `auto` resolves to. The last stdout line is one
@@ -41,10 +44,10 @@
 namespace perfbench {
 namespace {
 
-// Set-up repeats until it has taken kSetupSeconds, between kMinSetups and
-// kMaxSetups times; setup_s is the median.
-constexpr int kMinSetups = 3;
-constexpr int kMaxSetups = 31;
+// Set-up runs at least kMinSetups times, and more until it has taken
+// kSetupSeconds (at most kMaxSetups times); setup_s is the median.
+constexpr int kMinSetups = 7;
+constexpr int kMaxSetups = 101;
 constexpr double kSetupSeconds = 2.0;
 constexpr int kMinRounds = 2;
 constexpr std::size_t kBlockSamples = 1000;
@@ -60,6 +63,7 @@ struct Args {
   std::string dir;
   double seconds = 10.0;
   bool trace = false;
+  std::vector<std::string> layers;
 };
 
 Args parse_args(int argc, char** argv) {
@@ -74,13 +78,18 @@ Args parse_args(int argc, char** argv) {
       a.seconds = std::stod(v);
     } else if (k == "--trace") {
       a.trace = v == "1";
+    } else if (k == "--layers") {
+      std::istringstream in(v);
+      std::string layer;
+      while (std::getline(in, layer, ',')) a.layers.push_back(layer);
     } else {
       throw std::runtime_error("unknown argument " + k);
     }
   }
-  if (a.dir.empty()) {
+  if (a.dir.empty() || (a.trace && a.layers.empty())) {
     throw std::runtime_error(
-        "usage: perfbench_driver --dir DIR --seconds S --trace 0|1");
+        "usage: perfbench_driver --dir DIR --seconds S --trace 0|1 "
+        "[--layers L,L,...] (required with --trace 1)");
   }
   return a;
 }
@@ -99,6 +108,7 @@ int run(int argc, char** argv, Clock::time_point origin) {
   Ctx ctx(origin);
   ctx.spec = read_spec("workload.txt");
   ctx.nproc = ftr::hardware_threads();
+  ctx.layers = args.layers;
   auto wl = make_workload(ctx.spec.name);
   if (!wl) throw std::runtime_error("unknown workload " + ctx.spec.name);
 
@@ -121,15 +131,19 @@ int run(int argc, char** argv, Clock::time_point origin) {
   ctx.tracer.phase = "setup";
   std::vector<double> setups;
   double setup_total = 0.0;
+  double cold_from_start = 0.0;
   for (int k = 0; k < kMaxSetups; ++k) {
     if (k >= kMinSetups && setup_total >= kSetupSeconds) break;
     if (k > 0) wl->teardown(ctx);
     const auto t0 = Clock::now();
     wl->setup(ctx);
-    setups.push_back(seconds_between(t0, Clock::now()));
+    const auto t1 = Clock::now();
+    if (k == 0) cold_from_start = seconds_between(origin, t1);
+    setups.push_back(seconds_between(t0, t1));
     setup_total += setups.back();
   }
-  std::cout << "setups count=" << setups.size() << '\n';
+  std::cout << "setups count=" << setups.size() << " cold_from_start_s="
+            << cold_from_start << '\n';
   wl->describe(ctx);
 
   // ---- timed phase --------------------------------------------------------

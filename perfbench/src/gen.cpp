@@ -104,24 +104,22 @@ void set_window(TableEntry& t, std::size_t n, std::uint64_t full,
   t.rank_end = t.rank_begin + width;
 }
 
+// The planner seeds are fixed, not drawn from the workload seed. The
+// planner's random choices change the routes, and with them the cost of
+// every evaluation, so per-seed plans made round times differ between
+// seeds by more than between runs of one seed (see perfbench/README.md).
+// The workload seed varies the sampled work instead (rank windows, check
+// and sweep seeds, fault sets).
+constexpr std::uint64_t kPlanSeed = 42;
+
 std::vector<Built> build_all(const std::string& dir,
-                             const std::vector<Family>& fams,
-                             std::uint64_t seed) {
+                             const std::vector<Family>& fams) {
   std::vector<Built> out;
   for (std::size_t i = 0; i < fams.size(); ++i) {
-    ftr::Rng r = ftr::Rng::stream(seed, 1000 + i);
+    ftr::Rng r = ftr::Rng::stream(kPlanSeed, 1000 + i);
     out.push_back(write_table(dir, fams[i], r()));
   }
   return out;
-}
-
-void write_probe_manifest(const std::string& dir,
-                          const std::vector<Built>& tables, WorkloadSpec& spec) {
-  spec.probe_manifest = "probe_manifest.txt";
-  std::ofstream os(dir + "/" + spec.probe_manifest);
-  for (const auto& b : tables) {
-    os << "table " << b.entry.id << " snapshot=" << b.entry.snapshot << '\n';
-  }
 }
 
 // certify_gray / dist_sweep: exhaustive f=2 Gray work on n = 128..160 and a
@@ -134,7 +132,7 @@ std::vector<Built> gray_tables(const std::string& dir, std::uint64_t seed,
       : dist ? std::vector<Family>{hypercube(7), torus(12, 12), torus(20, 20)}
              : std::vector<Family>{hypercube(7), ccc(5), torus(12, 12),
                                    torus(20, 20)};
-  std::vector<Built> tables = build_all(dir, fams, seed);
+  std::vector<Built> tables = build_all(dir, fams);
   ftr::Rng rng = ftr::Rng::stream(seed, 1);
   // Whole spaces up to n = 160; a fixed-width window of the n = 400 space.
   const std::uint64_t full = tiny ? 320 : 16384;
@@ -165,7 +163,7 @@ std::vector<Built> adversary_tables(const std::string& dir, std::uint64_t seed,
   std::vector<Family> fams =
       tiny ? std::vector<Family>{torus(5, 5), hypercube(4)}
            : std::vector<Family>{torus(12, 12), torus(16, 16), hypercube(7)};
-  std::vector<Built> tables = build_all(dir, fams, seed);
+  std::vector<Built> tables = build_all(dir, fams);
   ftr::Rng rng = ftr::Rng::stream(seed, 2);
   for (std::size_t i = 0; i < tables.size(); ++i) {
     TableEntry& t = tables[i].entry;
@@ -185,16 +183,17 @@ std::string join(const std::vector<std::size_t>& v) {
   return os.str();
 }
 
-// serve_mix: ~6 tables, half snapshot-fed (mmap), half planner-on-miss,
-// with Zipf-skewed popularity and a residency budget below the total.
-// Tables are listed most popular first.
+// serve_mix: ~6 tables materialized three ways on a miss (snapshot mmap,
+// planner, text graph + text routing table), with Zipf-skewed popularity
+// and a residency budget below the total. Tables are listed most popular
+// first.
 std::vector<Built> serve_tables(const std::string& dir, std::uint64_t seed,
                                 bool tiny, WorkloadSpec& spec) {
   std::vector<Family> fams =
       tiny ? std::vector<Family>{torus(4, 4), hypercube(3), ccc(3)}
            : std::vector<Family>{torus(6, 6),  hypercube(5), ccc(3),
                                  torus(8, 8), hypercube(6), torus(12, 12)};
-  std::vector<Built> tables = build_all(dir, fams, seed);
+  std::vector<Built> tables = build_all(dir, fams);
   ftr::Rng rng = ftr::Rng::stream(seed, 3);
 
   for (auto& b : tables) b.entry.mode = "serve";
@@ -208,6 +207,9 @@ std::vector<Built> serve_tables(const std::string& dir, std::uint64_t seed,
       if (i % 2 == 0) {
         os << "table " << t.id << " snapshot=" << t.snapshot
            << " snapshot_load=mmap\n";
+      } else if (i == 3) {
+        os << "table " << t.id << " graph=" << t.graph
+           << " routes=" << t.routes << '\n';
       } else {
         os << "table " << t.id << " graph=" << t.graph
            << " seed=" << t.plan_seed << '\n';
@@ -217,9 +219,12 @@ std::vector<Built> serve_tables(const std::string& dir, std::uint64_t seed,
   spec.serve_budget = total_bytes * 8 / 10;
 
   // The stream's composition and order are fixed; the seed picks each
-  // request's fault sets and seeds, so every seed costs about the same. Popularity is Zipf over the manifest order: table k gets a share
+  // request's fault sets and seeds, so every seed costs about the same.
+  // Popularity is Zipf over the manifest order: table k gets a share
   // proportional to 1/(k+1). Kinds split 40% delivery, 30% sweep, 20%
-  // check, 10% certify within every table's share.
+  // check, 10% certify within every table's share. These proportions are
+  // an assumed traffic model, not taken from a recorded trace; the traced
+  // run prints each kind's measured share of the serving work.
   const std::size_t count = tiny ? 60 : 512;
   double norm = 0.0;
   for (std::size_t k = 0; k < tables.size(); ++k) norm += 1.0 / (k + 1.0);
@@ -263,7 +268,11 @@ std::vector<Built> serve_tables(const std::string& dir, std::uint64_t seed,
            << '\n';
         break;
       default:
-        os << "certify " << name << " f=" << small_f << " seed=" << s << '\n';
+        // claimed= is explicit: a table loaded from a text file has no
+        // planner claim to default to.
+        os << "certify " << name << " f=" << small_f
+           << " claimed=" << b.plan.guaranteed_diameter << " seed=" << s
+           << '\n';
     }
   }
   return tables;
@@ -317,7 +326,6 @@ int run(int argc, char** argv) {
   } else {
     throw std::runtime_error("unknown workload " + workload);
   }
-  write_probe_manifest(out, tables, spec);
 
   std::ofstream os(out + "/workload.txt");
   os << "workload name=" << spec.name << " seed=" << spec.seed
@@ -331,7 +339,6 @@ int run(int argc, char** argv) {
        << " requests=" << spec.serve_requests
        << " budget=" << spec.serve_budget << '\n';
   }
-  os << "probe manifest=" << spec.probe_manifest << '\n';
   return os ? 0 : 1;
 }
 

@@ -1,25 +1,40 @@
 // Per-layer metrics of a traced run.
 //
-// Every metric is derived from spans. The workload's own set-up, rounds and
-// oracle checks already left spans around the layer calls they make; the
-// probes below add spans for the layer calls a workload does not make
-// itself, on the workload's own tables, so every layer is reported on every
-// workload. Kernel rates are always probed: they compare the bitset and
-// packed kernels single-threaded over the same Gray rank window of each
-// table, which no workload call isolates.
+// Every metric is derived from spans of the workload's own set-up and
+// rounds, plus a few probes that isolate what no workload call isolates:
+//
+//   * Gray kernel rates: bitset and packed, one thread, over the same f=2
+//     rank window of each table the workload Gray-sweeps, and one packed
+//     block on the largest of them;
+//   * single-set costs: SrgScratch construction and one bitset evaluate;
+//     and one measure_delivery call on workloads that simulate delivery;
+//   * the thread speed-up: 1 thread vs nproc on the workload's own kind of
+//     sweep (certify_gray, sampled_adversary);
+//   * serve_mix: the layer calls its registry makes on a miss, timed one by
+//     one along each manifest entry's own path; acquire hits and misses;
+//     and execute_request once per request of the stream, per kind;
+//   * dist_sweep: the pooled calls against their in-process twins, which
+//     the correctness gate already runs.
+//
+// Probes run only on the workload's own tables and only for what the
+// workload does (its tables' modes and delivery pairs, its request kinds,
+// its in-process sweeps). The driver also gets the workload's layer map
+// (--layers). The probes do not read it, so it can be checked: a mismatch
+// between the map and the layers the spans show counts as a failure, and a
+// metric of a layer outside the map reads 0.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <memory>
+#include <map>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench.hpp"
 #include "common/combinatorics.hpp"
-#include "common/cpu_features.hpp"
 #include "common/rng.hpp"
 #include "core/planner.hpp"
 #include "graph/graph_io.hpp"
@@ -37,39 +52,69 @@ ftr::ExecPolicy policy(unsigned threads,
   return p;
 }
 
+std::string layer_of(const std::string& name) {
+  return name.substr(0, name.find('.'));
+}
+
+bool is_oracle(const Span& s) { return std::string(s.phase) == "oracle"; }
+
+// Tables whose workload work runs Gray blocks: exhaustive sweeps and checks,
+// and serve_mix's in-budget checks and certifies.
+bool gray_table(const TableEntry& e) {
+  return e.mode == "exhaustive" || e.mode == "serve";
+}
+
 struct Probe {
   explicit Probe(Ctx& c) : ctx(c), tr(c.tracer) {}
 
   Ctx& ctx;
   Tracer& tr;
-  std::vector<ftr::TableSnapshot> snaps;  // one per workload table
+  // The workload's tables as probe inputs, mapped untimed from the
+  // generator's snapshots (one per table).
+  std::vector<ftr::TableSnapshot> snaps;
 
   const std::vector<TableEntry>& tables() const { return ctx.spec.tables; }
 
-  // Σ over tables of the median duration of the named spans for that
-  // table: the cost of one pass over the workload's tables.
-  double pass_seconds(const std::vector<std::string>& names) const {
+  // Durations of the spans named `name` for table `ref`, from the
+  // oracle's spans or from all others.
+  std::vector<double> durations(const std::string& name,
+                                const std::string& ref, bool oracle) const {
+    std::vector<double> out;
+    for (const auto& s : tr.spans()) {
+      if (s.name == name && (ref.empty() || s.ref == ref) &&
+          is_oracle(s) == oracle) {
+        out.push_back(seconds_between(s.start, s.end));
+      }
+    }
+    return out;
+  }
+
+  // The cost of one pass over the workload's tables: Σ over tables and
+  // over the named calls of the median duration of that call on that
+  // table.
+  double pass_seconds(const std::vector<std::string>& names,
+                      bool oracle = false) const {
     double sum = 0.0;
     for (const auto& e : tables()) {
-      std::vector<double> d;
       for (const auto& n : names) {
-        const auto v = tr.durations(n, e.id);
-        d.insert(d.end(), v.begin(), v.end());
+        const auto d = durations(n, e.id, oracle);
+        if (!d.empty()) sum += median(d);
       }
-      if (!d.empty()) sum += median(d);
     }
     return sum;
   }
 
-  // Σ over tables of the work the first named span of that table did.
+  // The work of one pass: Σ over tables and over the named calls of the
+  // work the first such call on that table did.
   std::uint64_t pass_work(const std::vector<std::string>& names) const {
     std::uint64_t sum = 0;
     for (const auto& e : tables()) {
-      for (const auto& s : tr.spans()) {
-        if (s.ref == e.id &&
-            std::find(names.begin(), names.end(), s.name) != names.end()) {
-          sum += s.work;
-          break;
+      for (const auto& n : names) {
+        for (const auto& s : tr.spans()) {
+          if (s.ref == e.id && s.name == n && !is_oracle(s)) {
+            sum += s.work;
+            break;
+          }
         }
       }
     }
@@ -80,7 +125,8 @@ struct Probe {
   double rate(const std::vector<std::string>& names) const {
     double work = 0.0, secs = 0.0;
     for (const auto& s : tr.spans()) {
-      if (std::find(names.begin(), names.end(), s.name) != names.end()) {
+      if (!is_oracle(s) &&
+          std::find(names.begin(), names.end(), s.name) != names.end()) {
         work += static_cast<double>(s.work);
         secs += seconds_between(s.start, s.end);
       }
@@ -89,58 +135,98 @@ struct Probe {
   }
 
   double mean_seconds(const std::string& name) const {
-    const auto d = tr.durations(name);
+    const auto d = durations(name, "", false);
     double sum = 0.0;
     for (const double x : d) sum += x;
     return d.empty() ? 0.0 : sum / static_cast<double>(d.size());
   }
 
+  std::size_t smallest() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < snaps.size(); ++i) {
+      if (snaps[i].table.num_nodes() < snaps[best].table.num_nodes()) best = i;
+    }
+    return best;
+  }
+
+  // The workload simulates delivery: sweeps with delivery pairs, or
+  // delivery requests.
+  bool delivers() const {
+    for (const auto& e : tables()) {
+      if (e.pairs > 0) return true;
+    }
+    for (const auto& r : ctx.serve_stream) {
+      if (r.kind == ftr::RequestKind::kDelivery) return true;
+    }
+    return false;
+  }
+
+  // The workload's own rounds sweep in-process at nproc threads.
+  bool sweeps_in_process() const {
+    for (const auto& s : tr.spans()) {
+      if (!is_oracle(s) && layer_of(s.name) == "analysis") return true;
+    }
+    return false;
+  }
+
   // ---- probes --------------------------------------------------------------
 
-  // graph / routing / core / fault-index: one call per table for any of
-  // these the run has no span for yet.
-  void construction() {
+  void load_inputs() {
     for (const auto& e : tables()) {
-      if (!tr.has("graph.load_graph", e.id)) {
-        Scope s(tr, "graph.load_graph", e.id);
-        std::ifstream in(e.graph);
-        ftr::load_graph(in);
-      }
-      {
-        Scope s(tr, "routing.load_routing_table", e.id);
-        std::ifstream in(e.routes);
-        s.set_work(ftr::load_routing_table(in).num_routes());
-      }
-      if (!tr.has("routing.load_table_snapshot_file", e.id)) {
-        Scope s(tr, "routing.load_table_snapshot_file", e.id);
-        snaps.push_back(ftr::load_table_snapshot_file(
-            e.snapshot, ftr::SnapshotLoadMode::kMmap));
-      } else {
-        snaps.push_back(ftr::load_table_snapshot_file(
-            e.snapshot, ftr::SnapshotLoadMode::kMmap));
-      }
-      if (!tr.has("core.build_planned_routing", e.id)) {
-        std::ifstream in(e.graph);
-        const ftr::Graph g = ftr::load_graph(in);
-        Scope s(tr, "core.build_planned_routing", e.id);
-        ftr::Rng rng(e.plan_seed);
-        s.set_work(
-            ftr::build_planned_routing(g, std::nullopt, rng).table.num_routes());
-      }
-      if (!tr.has("fault.SrgIndex", e.id)) {
-        Scope s(tr, "fault.SrgIndex", e.id);
-        const ftr::SrgIndex idx(snaps.back().table);
-        s.set_work(idx.num_routes());
-      }
+      snaps.push_back(ftr::load_table_snapshot_file(
+          e.snapshot, ftr::SnapshotLoadMode::kMmap));
     }
   }
 
-  // Bitset vs packed, one thread, same f=2 rank window of every table.
-  // The two kernels' answers must agree.
-  std::vector<double> ratio_by_table;
+  // serve_mix: what the registry does on a miss, one call at a time along
+  // each manifest entry's path (snapshot; graph + planner; graph + text
+  // table), so graph, routing, core and the index build report separately.
+  void construction() {
+    std::ifstream in(ctx.spec.serve_manifest);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream ls(line);
+      std::string kind, id;
+      if (!(ls >> kind >> id) || kind != "table") continue;
+      const auto kv = parse_kv(ls);
+      if (!kv_str(kv, "snapshot").empty()) {
+        Scope s(tr, "routing.load_table_snapshot_file", id);
+        ftr::load_table_snapshot_file(kv_str(kv, "snapshot"),
+                                      ftr::SnapshotLoadMode::kMmap);
+        continue;
+      }
+      ftr::Graph g;
+      {
+        Scope s(tr, "graph.load_graph", id);
+        std::ifstream gin(kv_str(kv, "graph"));
+        g = ftr::load_graph(gin);
+      }
+      ftr::RoutingTable t;
+      if (!kv_str(kv, "routes").empty()) {
+        Scope s(tr, "routing.load_routing_table", id);
+        std::ifstream rin(kv_str(kv, "routes"));
+        t = ftr::load_routing_table(rin);
+        s.set_work(t.num_routes());
+      } else {
+        Scope s(tr, "core.build_planned_routing", id);
+        ftr::Rng rng(kv_u64(kv, "seed", 42));
+        t = ftr::build_planned_routing(g, std::nullopt, rng).table;
+        s.set_work(t.num_routes());
+      }
+      Scope s(tr, "fault.SrgIndex", id);
+      const ftr::SrgIndex idx(t);
+      s.set_work(idx.num_routes());
+    }
+  }
+
+  // Bitset vs packed, one thread, same f=2 rank window of every table the
+  // workload Gray-sweeps. The two kernels' answers must agree.
+  std::vector<std::pair<std::size_t, double>> ratio_by_n;  // (n, packed/bitset)
+  std::size_t largest_gray = SIZE_MAX;
   void gray_kernels() {
     for (std::size_t i = 0; i < tables().size(); ++i) {
       const auto& e = tables()[i];
+      if (!gray_table(e)) continue;
       const auto& t = snaps[i].table;
       const auto& idx = *snaps[i].index;
       const std::size_t n = t.num_nodes();
@@ -168,7 +254,11 @@ struct Probe {
       }
       ctx.oracle(answers[0] == answers[1],
                  e.id + " bitset and packed Gray windows agree");
-      ratio_by_table.push_back(rates[1] / rates[0]);
+      ratio_by_n.emplace_back(n, rates[1] / rates[0]);
+      if (largest_gray == SIZE_MAX ||
+          n > snaps[largest_gray].table.num_nodes()) {
+        largest_gray = i;
+      }
       std::cout << "layer fault.gray table=" << e.id << " n=" << n
                 << " routes=" << idx.num_routes() << " window=" << begin << ":"
                 << begin + len << " bitset_sets_per_s=" << rates[0]
@@ -180,24 +270,20 @@ struct Probe {
     }
   }
 
-  std::size_t largest() const {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < snaps.size(); ++i) {
-      if (snaps[i].table.num_nodes() > snaps[best].table.num_nodes()) best = i;
+  // Packed over bitset on the smallest (or largest) Gray-swept table.
+  double ratio_at(bool largest) const {
+    if (ratio_by_n.empty()) return 0.0;
+    auto best = ratio_by_n.front();
+    for (const auto& r : ratio_by_n) {
+      if (largest ? r.first > best.first : r.first < best.first) best = r;
     }
-    return best;
-  }
-  std::size_t smallest() const {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < snaps.size(); ++i) {
-      if (snaps[i].table.num_nodes() < snaps[best].table.num_nodes()) best = i;
-    }
-    return best;
+    return best.second;
   }
 
   unsigned lanes = 0;
   void packed_block() {
-    const std::size_t i = largest();
+    if (largest_gray == SIZE_MAX) return;
+    const std::size_t i = largest_gray;
     const auto& idx = *snaps[i].index;
     ftr::SrgScratch scratch(idx);
     scratch.set_kernel(ftr::SrgKernel::kPacked);
@@ -218,9 +304,10 @@ struct Probe {
     }
   }
 
-  // Scratch construction, single-set bitset evaluation, and delivery
-  // simulation over seeded fault sets of each table's f.
-  void single_set() {
+  // Scratch construction and single-set bitset evaluation over seeded
+  // fault sets of each table's f; delivery simulation on workloads that
+  // simulate delivery.
+  void single_set(bool delivery) {
     for (std::size_t i = 0; i < tables().size(); ++i) {
       const auto& e = tables()[i];
       const auto& t = snaps[i].table;
@@ -239,6 +326,7 @@ struct Probe {
         scratch.evaluate(set);
         s.set_work(1);
       }
+      if (!delivery) continue;
       for (int k = 0; k < 8; ++k) {
         const auto pick = rng.sample(t.num_nodes(), e.f);
         const std::vector<ftr::Node> set(pick.begin(), pick.end());
@@ -249,40 +337,9 @@ struct Probe {
     }
   }
 
-  // fault.check_tolerance and an in-process sweep per table, for workloads
-  // whose own calls include neither.
-  void search() {
-    const bool have_check = tr.has("fault.check_tolerance");
-    const bool have_sweep = tr.has("analysis.sweep_exhaustive_gray_range") ||
-                            tr.has("analysis.sweep_exhaustive_gray") ||
-                            tr.has("analysis.sweep_fault_source");
-    for (std::size_t i = 0; i < tables().size(); ++i) {
-      const auto& e = tables()[i];
-      const auto& snap = snaps[i];
-      if (!have_check) {
-        ftr::ToleranceCheckOptions co;
-        co.exec = policy(ctx.nproc);
-        Scope s(tr, "fault.check_tolerance", e.id);
-        ftr::Rng rng(e.seed);
-        const auto rep = ftr::check_tolerance(snap.table, snap.index, e.f,
-                                              snap.plan.guaranteed_diameter,
-                                              rng, co);
-        s.set_work(rep.fault_sets_checked);
-      }
-      if (!have_sweep) {
-        ftr::FaultSweepOptions so;
-        so.exec = policy(ctx.nproc);
-        so.seed = e.seed;
-        Scope s(tr, "analysis.sweep_fault_source", e.id);
-        ftr::SampledStreamSource src(snap.table.num_nodes(), e.f, 1024, e.seed);
-        s.set_work(
-            ftr::sweep_fault_source(snap.table, *snap.index, src, so).total_sets);
-      }
-    }
-  }
-
-  // 1 thread vs nproc threads on the same inputs: a Gray window (auto
-  // kernel) and a sampled sweep over the smallest table.
+  // 1 thread vs nproc threads on the workload's own kind of sweep over its
+  // smallest table: a Gray window (certify_gray) or a sampled sweep with
+  // the table's delivery pairs (sampled_adversary).
   double speedup = 0.0;
   ftr::ExecutorStats executor;
   void threads() {
@@ -290,49 +347,43 @@ struct Probe {
     const auto& e = tables()[i];
     const auto& t = snaps[i].table;
     const auto& idx = *snaps[i].index;
-    const std::uint64_t len = std::min<std::uint64_t>(
-        ftr::binomial(t.num_nodes(), 2), std::uint64_t{ctx.nproc} * 2048);
+    const bool gray = gray_table(e);
     double secs[2] = {0.0, 0.0};
     const unsigned counts[2] = {1, ctx.nproc};
     for (int k = 0; k < 2; ++k) {
       ftr::FaultSweepOptions so;
       so.exec = policy(counts[k]);
       so.seed = e.seed;
-      ftr::ExecutorStats gray_stats;
-      {
-        Scope s(tr, k == 0 ? "common.gray_1thread" : "common.gray_nthreads",
-                e.id);
-        s.set_work(ftr::sweep_exhaustive_gray_range(t, idx, 2, 0, len, so,
-                                                    &gray_stats)
+      so.delivery_pairs = e.pairs;
+      Scope s(tr, k == 0 ? "common.sweep_1thread" : "common.sweep_nthreads",
+              e.id);
+      ftr::ExecutorStats stats;
+      if (gray) {
+        const std::uint64_t len =
+            std::min<std::uint64_t>(ftr::binomial(t.num_nodes(), e.f),
+                                    std::uint64_t{ctx.nproc} * 2048);
+        s.set_work(ftr::sweep_exhaustive_gray_range(t, idx, e.f, 0, len, so,
+                                                    &stats)
                        .sets);
-        secs[k] += s.stop();
-      }
-      ftr::FaultSweepSummary sum;
-      {
-        Scope s(tr,
-                k == 0 ? "common.sampled_1thread" : "common.sampled_nthreads",
-                e.id);
-        ftr::SampledStreamSource src(t.num_nodes(), e.f, 4096, e.seed);
-        sum = ftr::sweep_fault_source(t, idx, src, so);
+      } else {
+        ftr::SampledStreamSource src(t.num_nodes(), e.f, 2048, e.seed);
+        const auto sum = ftr::sweep_fault_source(t, idx, src, so);
         s.set_work(sum.total_sets);
-        secs[k] += s.stop();
+        stats = sum.executor;
       }
-      if (k == 1) {
-        executor = gray_stats;
-        executor.accumulate(sum.executor);
-      }
+      secs[k] = s.stop();
+      if (k == 1) executor = stats;
     }
     speedup = secs[0] / secs[1];
   }
 
-  // Registry acquires (cold then warm) and execute_request one request at a
-  // time, per request kind.
-  ftr::TableRegistryStats serve_stats;
+  // serve_mix: acquires on a fresh registry (cold, then warm), and
+  // execute_request once per request of the stream, one at a time, with
+  // one reused scratch per table as the router's workers keep.
   void serve() {
     ftr::TableRegistry reg;
     {
-      std::ifstream in(ctx.serve_stream.empty() ? ctx.spec.probe_manifest
-                                                : ctx.spec.serve_manifest);
+      std::ifstream in(ctx.spec.serve_manifest);
       ftr::load_table_manifest(in, reg);
     }
     for (const auto& e : tables()) {
@@ -345,114 +396,66 @@ struct Probe {
         reg.acquire(e.id);
       }
     }
-    std::vector<ftr::ServeRequest> reqs;
-    if (!ctx.serve_stream.empty()) {
-      std::size_t per_kind[4] = {0, 0, 0, 0};
-      for (const auto& r : ctx.serve_stream) {
-        if (per_kind[static_cast<int>(r.kind)]++ < 16) reqs.push_back(r);
-      }
-    } else {
-      ftr::Rng rng = ftr::Rng::stream(ctx.spec.seed, 11);
-      for (std::size_t i = 0; i < tables().size(); ++i) {
-        const auto& e = tables()[i];
-        const std::size_t n = snaps[i].table.num_nodes();
-        for (int k = 0; k < 3; ++k) {
-          const std::string line_tail = e.id + " seed=" + std::to_string(k);
-          const auto pick = rng.sample(n, 2);
-          reqs.push_back(ftr::parse_request_line(
-              "check " + e.id + " f=1 claimed=" +
-                  std::to_string(snaps[i].plan.guaranteed_diameter) +
-                  " seed=" + std::to_string(k),
-              0));
-          reqs.push_back(ftr::parse_request_line(
-              "sweep " + line_tail + " f=2 sets=32", 0));
-          reqs.push_back(ftr::parse_request_line(
-              "delivery " + line_tail + " pairs=8 faults=" +
-                  std::to_string(pick[0]) + "," + std::to_string(pick[1]),
-              0));
-          reqs.push_back(
-              ftr::parse_request_line("certify " + line_tail + " f=1", 0));
-        }
-      }
-    }
-    for (const auto& r : reqs) {
+    std::map<std::string, std::optional<ftr::SrgScratch>> scratches;
+    double kind_s[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t kind_n[4] = {0, 0, 0, 0};
+    for (const auto& r : ctx.serve_stream) {
       const auto handle = reg.acquire(r.table);
-      std::optional<ftr::SrgScratch> scratch;
+      auto& scratch = scratches[r.table];
       Scope s(tr,
               std::string("serve.execute_request.") +
                   ftr::request_kind_name(r.kind),
               r.table);
       const std::string body = ftr::execute_request(r, *handle, scratch);
-      if (body.find("error:") != std::string::npos) {
+      const int k = static_cast<int>(r.kind);
+      kind_s[k] += s.stop();
+      ++kind_n[k];
+      if (body.find(" error: ") != std::string::npos) {
         ctx.fail("probe request failed: " + body);
       }
     }
-    serve_stats = reg.stats();
+    double total = 0.0;
+    for (const double x : kind_s) total += x;
+    const ftr::RequestKind kinds[4] = {
+        ftr::RequestKind::kCheck, ftr::RequestKind::kSweep,
+        ftr::RequestKind::kDelivery, ftr::RequestKind::kCertify};
+    for (int k = 0; k < 4; ++k) {
+      std::cout << "serve kind=" << ftr::request_kind_name(kinds[k])
+                << " requests=" << kind_n[k] << " share_of_requests="
+                << static_cast<double>(kind_n[k]) /
+                       static_cast<double>(ctx.serve_stream.size())
+                << " service_s=" << kind_s[k]
+                << " share_of_service=" << (total > 0 ? kind_s[k] / total : 0)
+                << '\n';
+    }
   }
 
-  // A pool over the smallest table running that table's kind of sweep,
-  // against the same sweep in-process at the same total thread count.
-  double dist_overhead = 0.0;
-  void dist() {
-    if (ctx.dist_passes > 0) {
-      // dist_sweep: its rounds already ran the pool; its oracle pass ran
-      // the same calls in-process.
-      const double pooled =
-          pass_seconds({"dist.sweep_exhaustive", "dist.sweep_sampled",
-                        "dist.check_tolerance_distributed"});
-      const double local =
-          pass_seconds({"analysis.sweep_exhaustive_gray",
-                        "analysis.sweep_fault_source", "fault.check_tolerance"});
-      dist_overhead = pooled > 0.0 ? 1.0 - local / pooled : 0.0;
-      return;
+  // dist_sweep: one round's pooled calls against the same calls in-process
+  // at equal total threads, which the correctness gate ran.
+  double dist_overhead() const {
+    const double pooled =
+        pass_seconds({"dist.sweep_exhaustive", "dist.sweep_sampled",
+                      "dist.check_tolerance_distributed"});
+    const double local =
+        pass_seconds({"analysis.sweep_exhaustive_gray",
+                      "analysis.sweep_fault_source", "fault.check_tolerance"},
+                     /*oracle=*/true);
+    return pooled > 0.0 ? 1.0 - local / pooled : 0.0;
+  }
+
+  // The layers the workload's own calls and the probes reached must be
+  // exactly the workload's layer map.
+  void check_layer_map() {
+    std::set<std::string> seen;
+    for (const auto& s : tr.spans()) {
+      if (!is_oracle(s)) seen.insert(layer_of(s.name));
     }
-    const std::size_t i = smallest();
-    const auto& e = tables()[i];
-    const auto& snap = snaps[i];
-    const bool exhaustive = e.mode == "exhaustive";
-    ftr::FaultSweepOptions so;
-    so.exec = policy(1);
-    so.seed = e.seed;
-    ftr::DistPoolOptions po;
-    po.workers = ctx.nproc;
-    po.exec = policy(1);
-    std::unique_ptr<ftr::DistSweepPool> pool;
-    {
-      Scope s(tr, "dist.DistSweepPool", e.id);
-      pool = std::make_unique<ftr::DistSweepPool>(snap, e.snapshot, po);
+    const std::set<std::string> want(ctx.layers.begin(), ctx.layers.end());
+    if (seen != want) {
+      std::string got;
+      for (const auto& l : seen) got += (got.empty() ? "" : ",") + l;
+      ctx.fail("layers timed (" + got + ") differ from the layer map");
     }
-    double pooled = 0.0;
-    std::string dist_answer;
-    {
-      Scope s(tr, exhaustive ? "dist.sweep_exhaustive" : "dist.sweep_sampled",
-              e.id);
-      const auto p = exhaustive ? pool->sweep_exhaustive(2, so)
-                                : pool->sweep_sampled(e.f, 4096, so);
-      s.set_work(p.sets);
-      pooled = s.stop();
-      dist_answer = sweep_answer(e.id, p);
-    }
-    absorb_pool(ctx, *pool, pooled);
-    pool.reset();
-    ctx.dist_passes = 1;
-    so.exec = policy(ctx.nproc);
-    double local = 0.0;
-    std::string local_answer;
-    {
-      Scope s(tr, "dist.inprocess_equivalent", e.id);
-      ftr::FaultSweepSummary sum;
-      if (exhaustive) {
-        sum = ftr::sweep_exhaustive_gray(snap.table, *snap.index, 2, so);
-      } else {
-        ftr::SampledStreamSource src(snap.table.num_nodes(), e.f, 4096, e.seed);
-        sum = ftr::sweep_fault_source(snap.table, *snap.index, src, so);
-      }
-      local = s.stop();
-      local_answer = sweep_answer(e.id, partial_of(sum));
-    }
-    ctx.oracle(dist_answer == local_answer,
-               e.id + " probe pool sweep equals in-process sweep");
-    dist_overhead = 1.0 - local / pooled;
   }
 };
 
@@ -461,39 +464,43 @@ struct Probe {
 std::vector<Metric> layer_metrics(Ctx& ctx, double trace_overhead) {
   ctx.tracer.on = true;
   ctx.tracer.phase = "probe";
+  const std::set<std::string> layers(ctx.layers.begin(), ctx.layers.end());
+  const bool serve_mix = ctx.spec.name == "serve_mix";
   Probe p(ctx);
-  p.construction();
+  p.load_inputs();
+  if (serve_mix) p.construction();
   p.gray_kernels();
   p.packed_block();
-  p.single_set();
-  p.search();
-  p.threads();
-  p.serve();
-  p.dist();
+  p.single_set(p.delivers());
+  if (p.sweeps_in_process()) p.threads();
+  if (serve_mix) p.serve();
+  p.check_layer_map();
 
   const auto& tables = ctx.spec.tables;
-  std::uint64_t snapshot_bytes = 0, routes = 0, index_bytes = 0;
+  std::uint64_t snapshot_bytes = 0, index_bytes = 0;
   double auto_packed = 0.0;
   for (std::size_t i = 0; i < tables.size(); ++i) {
-    std::ifstream in(tables[i].snapshot, std::ios::binary | std::ios::ate);
-    snapshot_bytes += static_cast<std::uint64_t>(in.tellg());
-    routes += p.snaps[i].table.num_routes();
+    if (p.tr.has("routing.load_table_snapshot_file", tables[i].id)) {
+      std::ifstream in(tables[i].snapshot, std::ios::binary | std::ios::ate);
+      snapshot_bytes += static_cast<std::uint64_t>(in.tellg());
+    }
     index_bytes += p.snaps[i].index->memory_bytes();
-    if (policy(1).resolved_kernel(true, tables[i].pairs > 0) ==
+    if (policy(1).resolved_kernel(gray_table(tables[i]),
+                                  tables[i].pairs > 0) ==
         ftr::SrgKernel::kPacked) {
       auto_packed += 1.0;
     }
   }
   const ftr::TableRegistryStats serve =
-      ctx.serve_stats ? *ctx.serve_stats : p.serve_stats;
-  const double check_s = p.pass_seconds({"fault.check_tolerance"});
+      ctx.serve_stats ? *ctx.serve_stats : ftr::TableRegistryStats{};
   const std::vector<std::string> sweeps = {
       "analysis.sweep_exhaustive_gray_range", "analysis.sweep_exhaustive_gray",
       "analysis.sweep_fault_source"};
   const double passes =
       static_cast<double>(std::max<std::uint64_t>(1, ctx.dist_passes));
   auto kind_p50 = [&](const char* kind) {
-    return median(p.tr.durations(std::string("serve.execute_request.") + kind)) *
+    return median(p.durations(std::string("serve.execute_request.") + kind,
+                              "", false)) *
            1e3;
   };
 
@@ -505,17 +512,17 @@ std::vector<Metric> layer_metrics(Ctx& ctx, double trace_overhead) {
        p.pass_seconds({"routing.load_table_snapshot_file"}), "s"},
       {"routing.snapshot_bytes", static_cast<double>(snapshot_bytes), "bytes"},
       {"core.plan_s", p.pass_seconds({"core.build_planned_routing"}), "s"},
-      {"core.routes", static_cast<double>(routes), "count"},
+      {"core.routes",
+       static_cast<double>(p.pass_work({"core.build_planned_routing"})),
+       "count"},
       {"fault.index_build_s", p.pass_seconds({"fault.SrgIndex"}), "s"},
       {"fault.index_bytes", static_cast<double>(index_bytes), "bytes"},
       {"fault.gray_bitset_sets_per_s", p.rate({"fault.gray_window.bitset"}),
        "1/s"},
       {"fault.gray_packed_sets_per_s", p.rate({"fault.gray_window.packed"}),
        "1/s"},
-      {"fault.packed_over_bitset_min_n", p.ratio_by_table[p.smallest()],
-       "ratio"},
-      {"fault.packed_over_bitset_max_n", p.ratio_by_table[p.largest()],
-       "ratio"},
+      {"fault.packed_over_bitset_min_n", p.ratio_at(false), "ratio"},
+      {"fault.packed_over_bitset_max_n", p.ratio_at(true), "ratio"},
       {"fault.packed_block_ms", p.mean_seconds("fault.evaluate_gray_block") * 1e3,
        "ms"},
       {"fault.packed_lanes", static_cast<double>(p.lanes), "count"},
@@ -524,12 +531,13 @@ std::vector<Metric> layer_metrics(Ctx& ctx, double trace_overhead) {
       {"fault.scratch_init_ms", p.mean_seconds("fault.SrgScratch") * 1e3, "ms"},
       {"fault.bitset_eval_us",
        p.mean_seconds("fault.SrgScratch::evaluate") * 1e6, "us"},
-      {"fault.check_s", check_s, "s"},
+      {"fault.check_s", p.pass_seconds({"fault.check_tolerance"}), "s"},
       {"fault.check_evals",
        static_cast<double>(p.pass_work({"fault.check_tolerance"})), "count"},
       {"fault.check_evals_per_s", p.rate({"fault.check_tolerance"}), "1/s"},
-      {"fault.oracle_checks", 0.0, "count"},      // filled below
-      {"fault.oracle_mismatches", 0.0, "count"},  // filled below
+      {"fault.oracle_checks", static_cast<double>(ctx.oracle_checks), "count"},
+      {"fault.oracle_mismatches", static_cast<double>(ctx.oracle_mismatches),
+       "count"},
       {"analysis.sweep_s", p.pass_seconds(sweeps), "s"},
       {"analysis.sweep_sets", static_cast<double>(p.pass_work(sweeps)),
        "count"},
@@ -562,7 +570,8 @@ std::vector<Metric> layer_metrics(Ctx& ctx, double trace_overhead) {
       {"serve.sweep_p50_ms", kind_p50("sweep"), "ms"},
       {"serve.delivery_p50_ms", kind_p50("delivery"), "ms"},
       {"serve.certify_p50_ms", kind_p50("certify"), "ms"},
-      {"dist.pool_start_s", median(p.tr.durations("dist.DistSweepPool")), "s"},
+      {"dist.pool_start_s",
+       median(p.durations("dist.DistSweepPool", "", false)), "s"},
       {"dist.units", static_cast<double>(ctx.dist.units_dispatched) / passes,
        "count"},
       {"dist.bytes_tx", static_cast<double>(ctx.dist.bytes_tx) / passes,
@@ -576,16 +585,14 @@ std::vector<Metric> layer_metrics(Ctx& ctx, double trace_overhead) {
        "count"},
       {"dist.units_inline", static_cast<double>(ctx.dist.units_inline),
        "count"},
-      {"dist.overhead", p.dist_overhead, "ratio"},
+      {"dist.overhead", p.dist_overhead(), "ratio"},
       {"trace.overhead", trace_overhead, "ratio"},
   };
+  // A layer the workload does not call reports 0, not a figure borrowed
+  // from a synthetic call.
   for (auto& x : m) {
-    if (x.name == "fault.oracle_checks") {
-      x.value = static_cast<double>(ctx.oracle_checks);
-    }
-    if (x.name == "fault.oracle_mismatches") {
-      x.value = static_cast<double>(ctx.oracle_mismatches);
-    }
+    const std::string layer = layer_of(x.name);
+    if (layer != "trace" && layers.count(layer) == 0) x.value = 0.0;
   }
   return m;
 }

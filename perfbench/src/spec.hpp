@@ -9,7 +9,6 @@
 //         samples=<N> pairs=<P> seed=<S> mode=<exhaustive|sampled>
 //   adversary samples=<N> restarts=<R> steps=<S>
 //   serve manifest=<file> requests=<file> budget=<bytes>
-//   probe manifest=<file>
 //
 // File names are relative to the directory holding workload.txt. The
 // driver sees nothing else from the generator: no family objects, no
@@ -55,7 +54,6 @@ struct WorkloadSpec {
   std::string serve_manifest;
   std::string serve_requests;
   std::uint64_t serve_budget = 0;
-  std::string probe_manifest;  // every table as a snapshot spec
 };
 
 inline std::map<std::string, std::string> parse_kv(std::istringstream& in) {
@@ -122,8 +120,6 @@ inline WorkloadSpec read_spec(const std::string& path) {
       spec.serve_manifest = kv_str(kv, "manifest");
       spec.serve_requests = kv_str(kv, "requests");
       spec.serve_budget = kv_u64(kv, "budget", 0);
-    } else if (kind == "probe") {
-      spec.probe_manifest = kv_str(kv, "manifest");
     } else {
       throw std::runtime_error("workload spec: unknown line kind " + kind);
     }
