@@ -25,6 +25,10 @@ struct Ctx {
   Tracer tracer;
   WorkloadSpec spec;
   unsigned nproc = 1;
+  // Threads (dist_sweep: worker processes) the workload's calls run at:
+  // half of nproc, at least one (see "Threads" under "Workloads" in
+  // README.md).
+  unsigned threads = 1;
   // The layers the workload calls (its layer map, from run.py).
   std::vector<std::string> layers;
 

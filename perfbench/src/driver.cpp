@@ -17,8 +17,9 @@
 //    layer map (--layers), and prints the per-layer metrics derived from
 //    the spans, which it also writes to spans.tsv.
 //
-// Every result carries the host context: nproc, ISA, build type, and the
-// kernel and lane width `auto` resolves to. The last stdout line is one
+// Every result carries the host context: nproc, the workload's thread
+// count (half of nproc), ISA, build type, and the kernel and lane width
+// `auto` resolves to. The last stdout line is one
 // JSON object: {"correct", "attempted", "failed", "metrics"}.
 #include <algorithm>
 #include <cmath>
@@ -108,12 +109,13 @@ int run(int argc, char** argv, Clock::time_point origin) {
   Ctx ctx(origin);
   ctx.spec = read_spec("workload.txt");
   ctx.nproc = ftr::hardware_threads();
+  ctx.threads = std::max(1u, ctx.nproc / 2);
   ctx.layers = args.layers;
   auto wl = make_workload(ctx.spec.name);
   if (!wl) throw std::runtime_error("unknown workload " + ctx.spec.name);
 
   const ftr::ExecPolicy auto_policy;
-  std::cout << "host nproc=" << ctx.nproc
+  std::cout << "host nproc=" << ctx.nproc << " threads=" << ctx.threads
             << " avx2=" << ftr::cpu_features().avx2
             << " avx512f=" << ftr::cpu_features().avx512f
             << " build_type=" << PERFBENCH_BUILD_TYPE

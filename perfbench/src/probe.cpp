@@ -161,7 +161,8 @@ struct Probe {
     return false;
   }
 
-  // The workload's own rounds sweep in-process at nproc threads.
+  // The workload's own rounds sweep in-process (analysis spans outside
+  // the oracle phase).
   bool sweeps_in_process() const {
     for (const auto& s : tr.spans()) {
       if (!is_oracle(s) && layer_of(s.name) == "analysis") return true;

@@ -276,7 +276,7 @@ class CertifyGray final : public Workload {
     for (const auto& pt : tables_) {
       const TableEntry& e = *pt.e;
       ftr::FaultSweepOptions so;
-      so.exec = policy(ctx.nproc);
+      so.exec = policy(ctx.threads);
       verdict(r, [&] {
         Scope s(ctx.tracer, "analysis.sweep_exhaustive_gray_range", e.id);
         const auto p = ftr::sweep_exhaustive_gray_range(
@@ -287,7 +287,7 @@ class CertifyGray final : public Workload {
         partials_.push_back(p);
       });
       ftr::ToleranceCheckOptions co;
-      co.exec = policy(ctx.nproc);
+      co.exec = policy(ctx.threads);
       verdict(r, [&] {
         Scope s(ctx.tracer, "fault.check_tolerance", e.id);
         ftr::Rng rng(e.seed);
@@ -360,7 +360,7 @@ class SampledAdversary final : public Workload {
 
   ftr::ToleranceCheckOptions check_options(Ctx& ctx) const {
     ftr::ToleranceCheckOptions co;
-    co.exec = policy(ctx.nproc);
+    co.exec = policy(ctx.threads);
     co.samples = ctx.spec.adv_samples;
     co.hillclimb_restarts = ctx.spec.adv_restarts;
     co.hillclimb_steps = ctx.spec.adv_steps;
@@ -386,7 +386,7 @@ class SampledAdversary final : public Workload {
         reports_.push_back(rep);
       });
       ftr::FaultSweepOptions so;
-      so.exec = policy(ctx.nproc);
+      so.exec = policy(ctx.threads);
       so.delivery_pairs = e.pairs;
       so.seed = e.seed;
       verdict(r, [&] {
@@ -498,7 +498,7 @@ class DistSweep final : public Workload {
       const auto& t = st.snap.table;
       const auto& idx = *st.snap.index;
       ftr::FaultSweepOptions so;
-      so.exec = policy(ctx.nproc);
+      so.exec = policy(ctx.threads);
       so.seed = e.seed;
       so.delivery_pairs = e.pairs;
       ftr::SweepPartial local;
@@ -518,7 +518,7 @@ class DistSweep final : public Workload {
         verify_sweep(ctx, e, t, idx, partials_[i], true,
                      ftr::binomial(t.num_nodes(), e.f));
         ftr::ToleranceCheckOptions co;
-        co.exec = policy(ctx.nproc);
+        co.exec = policy(ctx.threads);
         ftr::ToleranceReport local_rep;
         {
           Scope s(ctx.tracer, "fault.check_tolerance", e.id);
@@ -559,7 +559,7 @@ class DistSweep final : public Workload {
   void start_pool(Ctx& ctx, std::size_t i) {
     stop_pool(ctx);
     ftr::DistPoolOptions po;
-    po.workers = ctx.nproc;
+    po.workers = ctx.threads;
     po.exec = policy(1);
     Scope s(ctx.tracer, "dist.DistSweepPool", tables_[i].e->id);
     pool_ = std::make_unique<ftr::DistSweepPool>(tables_[i].snap,
@@ -688,7 +688,7 @@ class ServeMix final : public Workload {
     std::ostream out(&buf);
     StampedSource src(requests_, pulled);
     ftr::ServeOptions so;
-    so.exec.threads = ctx.nproc;
+    so.exec.threads = ctx.threads;
     const ftr::TableRegistryStats before = registry_->stats();
     {
       Scope s(ctx.tracer, "serve.serve_requests");
@@ -778,7 +778,7 @@ class ServeMix final : public Workload {
               << " check=" << kinds[0] << " sweep=" << kinds[1]
               << " delivery=" << kinds[2] << " certify=" << kinds[3]
               << " budget_bytes=" << ctx.spec.serve_budget
-              << " threads=" << ctx.nproc << " loop=closed\n";
+              << " threads=" << ctx.threads << " loop=closed\n";
   }
 
   void teardown(Ctx&) override { registry_.reset(); }
