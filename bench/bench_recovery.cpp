@@ -267,94 +267,6 @@ BENCHMARK(bench_componentwise_sweep)
     ->Arg(4)
     ->UseRealTime();
 
-// Incremental (revolving-door) vs full-rebuild fault-set APPLICATION on the
-// exhaustive f=2 kernel-table sweep: the per-set cost of maintaining the
-// kill index and the surviving-arc set, which is exactly the phase the
-// Gray-code delta replaces (one unstrike + one strike per set instead of an
-// O(routes) rebuild). The diameter BFS is identical in both modes and
-// excluded here, so the rebuild/gray ratio is the honest incremental-vs-
-// rebuild speedup. CPU-time based and single-threaded, so the number is
-// meaningful on a 1-core host. items_per_second = fault sets applied/sec.
-void bench_gray_vs_rebuild_apply(benchmark::State& state) {
-  const auto gg = torus_graph(6, 6);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  const std::size_t n = gg.graph.num_nodes();
-  const auto count = binomial(n, 2);
-  const bool gray = state.range(0) != 0;
-  SrgScratch scratch(index);
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    if (gray) {
-      GraySubsetEnumerator e(n, 2);
-      std::vector<Node> faults(e.current().begin(), e.current().end());
-      scratch.begin_incremental(faults);
-      for (;;) {
-        checksum += scratch.incremental_survivors() +
-                    scratch.incremental_arcs();
-        if (!e.advance()) break;
-        scratch.unstrike(static_cast<Node>(e.last_transition().out));
-        scratch.strike(static_cast<Node>(e.last_transition().in));
-      }
-    } else {
-      GraySubsetEnumerator e(n, 2);
-      std::vector<Node> faults(2);
-      for (;;) {
-        faults.assign(e.current().begin(), e.current().end());
-        const auto res = scratch.apply(faults);
-        checksum += res.survivors + res.arcs;
-        if (!e.advance()) break;
-      }
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * count));
-  state.SetLabel("fault-sets");
-}
-BENCHMARK(bench_gray_vs_rebuild_apply)->ArgName("gray")->Arg(0)->Arg(1);
-
-// The same comparison end to end (full diameter evaluation per set). The
-// BFS dominates and is common to both modes, so this ratio bounds what the
-// fast path buys a whole exhaustive certification, while /apply above
-// isolates what it buys the phase it actually changes.
-void bench_gray_vs_rebuild_eval(benchmark::State& state) {
-  const auto gg = torus_graph(6, 6);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  const std::size_t n = gg.graph.num_nodes();
-  const auto count = binomial(n, 2);
-  const bool gray = state.range(0) != 0;
-  SrgScratch scratch(index);
-  std::uint64_t checksum = 0;
-  for (auto _ : state) {
-    if (gray) {
-      GraySubsetEnumerator e(n, 2);
-      std::vector<Node> faults(e.current().begin(), e.current().end());
-      scratch.begin_incremental(faults);
-      for (;;) {
-        checksum += scratch.evaluate_incremental().diameter;
-        if (!e.advance()) break;
-        scratch.unstrike(static_cast<Node>(e.last_transition().out));
-        scratch.strike(static_cast<Node>(e.last_transition().in));
-      }
-    } else {
-      GraySubsetEnumerator e(n, 2);
-      std::vector<Node> faults(2);
-      for (;;) {
-        faults.assign(e.current().begin(), e.current().end());
-        checksum += scratch.evaluate(faults).diameter;
-        if (!e.advance()) break;
-      }
-    }
-  }
-  benchmark::DoNotOptimize(checksum);
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * count));
-  state.SetLabel("fault-sets");
-}
-BENCHMARK(bench_gray_vs_rebuild_eval)->ArgName("gray")->Arg(0)->Arg(1);
-
 void bench_componentwise_diameter(benchmark::State& state) {
   const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);

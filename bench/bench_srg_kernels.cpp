@@ -1,21 +1,19 @@
-// Experiment E24: SRG evaluation at memory speed. The three evaluation
+// Experiment E24: SRG evaluation at memory speed. The two evaluation
 // kernels (fault/srg_engine.hpp) on the exhaustive Gray certification
 // workload — the f <= 3 fast path behind check_tolerance and the CLI's
 // `sweep --exhaustive`:
-//   * scalar — queue BFS + O(delta) strike/unstrike (the previous engine,
-//     kept as the differential oracle);
 //   * bitset — word-packed frontier/visited bitmaps with a direction-
-//     optimizing top-down/bottom-up switch;
+//     optimizing top-down/bottom-up switch, over adjacency bitmaps the
+//     fault-set state maintains by one-element deltas;
 //   * packed — Gray-adjacent fault sets evaluated lane-parallel in
 //     width-parameterized blocks (64/128/256/512 lanes = 1/2/4/8 words per
 //     route/pair/node; route liveness, arc counts, and reachability as
 //     AND/OR/popcount word loops with runtime AVX2/AVX-512 dispatch).
-// The headline acceptance metrics live in BENCH_srg_kernels.json:
-// bench_srg_kernels_exhaustive/kernel:2/lanes:64 (packed, one-word blocks)
-// must show >= 5x the items_per_second of /kernel:0/lanes:0 (scalar) on the
-// exhaustive f=2 kernel/torus sweep, and the widest supported lane count
-// must beat lanes:64. All kernels and widths produce bit-identical sweeps
-// (tests/test_srg_kernels pins that); only throughput may differ.
+// BENCH_srg_kernels.json records the cases below; its kernel:0 rows are
+// from the removed scalar kernel and stay only as history. The widest
+// supported lane count must beat lanes:64. All kernels and widths produce
+// bit-identical sweeps (tests/test_srg_kernels pins that); only throughput
+// may differ.
 // Single-threaded and CPU-time based, so the ratios are meaningful on the
 // 1-core CI runner.
 #include <benchmark/benchmark.h>
@@ -32,15 +30,13 @@ namespace {
 
 using namespace ftr;
 
+// Arg 1 = bitset, 2 = packed (0 was the removed scalar kernel; the numbers
+// are kept so case names match the recorded history).
 SrgKernel kernel_from_range(std::int64_t r) {
-  switch (r) {
-    case 0: return SrgKernel::kScalar;
-    case 1: return SrgKernel::kBitset;
-    default: return SrgKernel::kPacked;
-  }
+  return r == 1 ? SrgKernel::kBitset : SrgKernel::kPacked;
 }
 
-// "scalar" / "bitset" / "packed512"; lanes only matters for packed, where
+// "bitset" / "packed512"; lanes only matters for packed, where
 // 0 (auto) is annotated with the width it resolved to on this host.
 std::string kernel_lanes_label(SrgKernel kernel, unsigned lanes) {
   if (kernel != SrgKernel::kPacked) return srg_kernel_name(kernel);
@@ -54,10 +50,9 @@ std::string kernel_lanes_label(SrgKernel kernel, unsigned lanes) {
 void table_kernel_throughput() {
   std::cout << "-- Exhaustive Gray sweep throughput by kernel --\n";
   const unsigned auto_width = resolve_lane_width(0);
-  Table table({"graph", "f", "sets", "scalar sets/s", "bitset sets/s",
-               "packed64 sets/s",
+  Table table({"graph", "f", "sets", "bitset sets/s", "packed64 sets/s",
                "packed" + std::to_string(auto_width) + " sets/s",
-               "bitset/scalar", "packed/scalar"});
+               "packed/bitset"});
   using clock = std::chrono::steady_clock;
   struct Entry {
     std::string graph;
@@ -79,13 +74,11 @@ void table_kernel_throughput() {
     const SrgIndex index(e.rt);
     for (std::size_t f : {2u, 3u}) {
       const auto count = binomial(e.g.num_nodes(), f);
-      // scalar, bitset, packed at 64 lanes, packed at the auto width.
-      constexpr int kConfigs = 4;
-      const SrgKernel kernels[kConfigs] = {SrgKernel::kScalar,
-                                           SrgKernel::kBitset,
-                                           SrgKernel::kPacked,
-                                           SrgKernel::kPacked};
-      const unsigned widths[kConfigs] = {0, 0, 64, 0};
+      // bitset, packed at 64 lanes, packed at the auto width.
+      constexpr int kConfigs = 3;
+      const SrgKernel kernels[kConfigs] = {
+          SrgKernel::kBitset, SrgKernel::kPacked, SrgKernel::kPacked};
+      const unsigned widths[kConfigs] = {0, 64, 0};
       double rate[kConfigs] = {};
       std::uint32_t worst[kConfigs] = {};
       std::uint64_t disconnected[kConfigs] = {};
@@ -108,9 +101,8 @@ void table_kernel_throughput() {
       }
       table.add_row({e.graph, Table::cell(f), Table::cell(count),
                      Table::cell(rate[0], 0), Table::cell(rate[1], 0),
-                     Table::cell(rate[2], 0), Table::cell(rate[3], 0),
-                     Table::cell(rate[1] / rate[0], 1),
-                     Table::cell(rate[3] / rate[0], 1)});
+                     Table::cell(rate[2], 0),
+                     Table::cell(rate[2] / rate[0], 1)});
     }
   }
   table.print(std::cout);
@@ -121,9 +113,8 @@ void table_kernel_throughput() {
 
 // THE acceptance benchmark: exhaustive f=2 sweep of the kernel/torus table,
 // one registered case per kernel, plus one per packed lane width (lanes:0
-// is the auto pick). items_per_second is fault-sets/sec;
-// /kernel:2/lanes:64 vs /kernel:0/lanes:0 (scalar) is the >= 5x claim, and
-// the wider-lane cases vs lanes:64 are the width-scaling record.
+// is the auto pick). items_per_second is fault-sets/sec; the wider-lane
+// cases vs lanes:64 are the width-scaling record.
 void bench_srg_kernels_exhaustive(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
@@ -141,7 +132,6 @@ void bench_srg_kernels_exhaustive(benchmark::State& state) {
 }
 BENCHMARK(bench_srg_kernels_exhaustive)
     ->ArgNames({"kernel", "lanes"})
-    ->Args({0, 0})
     ->Args({1, 0})
     ->Args({2, 64})
     ->Args({2, 128})
@@ -168,7 +158,6 @@ void bench_srg_kernels_exhaustive_f3(benchmark::State& state) {
 }
 BENCHMARK(bench_srg_kernels_exhaustive_f3)
     ->ArgNames({"kernel", "lanes"})
-    ->Args({0, 0})
     ->Args({1, 0})
     ->Args({2, 64})
     ->Args({2, 128})
@@ -176,9 +165,8 @@ BENCHMARK(bench_srg_kernels_exhaustive_f3)
     ->Args({2, 512})
     ->Args({2, 0});
 
-// Streamed (non-Gray) sweeps cannot use the packed kernel; what they get
-// from the refactor is the bitset BFS. Scalar vs bitset on the sampled
-// stream the CLI's default `sweep` runs.
+// Streamed (non-Gray) sweeps cannot use the packed kernel; they run the
+// bitset BFS. The sampled stream the CLI's default `sweep` runs.
 void bench_srg_kernels_stream(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
@@ -195,16 +183,15 @@ void bench_srg_kernels_stream(benchmark::State& state) {
       static_cast<std::int64_t>(state.iterations() * kSets));
   state.SetLabel(srg_kernel_name(opts.exec.kernel));
 }
-BENCHMARK(bench_srg_kernels_stream)->ArgName("kernel")->Arg(0)->Arg(1);
+BENCHMARK(bench_srg_kernels_stream)->ArgName("kernel")->Arg(1);
 
 // Single-set evaluation latency (the serving layer's per-request shape):
-// one evaluate() against reused scratch, scalar vs bitset.
+// one evaluate() against reused scratch, a delta from the previous set.
 void bench_srg_kernels_single_set(benchmark::State& state) {
   const auto gg = torus_graph(6, 6);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   SrgScratch scratch(index);
-  scratch.set_kernel(kernel_from_range(state.range(0)));
   Rng rng(9);
   const auto sets = random_fault_sets(gg.graph.num_nodes(), 3, 64, rng);
   std::size_t i = 0;
@@ -212,9 +199,9 @@ void bench_srg_kernels_single_set(benchmark::State& state) {
     benchmark::DoNotOptimize(scratch.evaluate(sets[i++ % sets.size()]));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(srg_kernel_name(scratch.kernel()));
+  state.SetLabel(srg_kernel_name(kernel_from_range(state.range(0))));
 }
-BENCHMARK(bench_srg_kernels_single_set)->ArgName("kernel")->Arg(0)->Arg(1);
+BENCHMARK(bench_srg_kernels_single_set)->ArgName("kernel")->Arg(1);
 
 }  // namespace
 

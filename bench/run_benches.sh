@@ -20,7 +20,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
-FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|gray_vs_rebuild|srg_kernels|table_registry|parallel_executor|dist_sweep}"
+FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|dist_sweep}"
 HOST_CORES="$(nproc 2>/dev/null || echo 1)"
 mkdir -p "${OUT_DIR}"
 
@@ -66,7 +66,7 @@ with open(path, "w") as f:
 PY
 }
 
-BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_parallel_executor bench_dist_sweep)
+BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_dist_sweep)
 WRITTEN_JSONS=()
 
 for bench in "${BENCHES[@]}"; do
@@ -76,11 +76,7 @@ for bench in "${BENCHES[@]}"; do
     continue
   fi
   out="${OUT_DIR}/BENCH_${bench#bench_}.json"
-  if [[ "${bench}" == "bench_parallel_executor" ]]; then
-    # Short name for the baseline the perf trajectory tracks
-    # (cursor-vs-stealing on uniform/skewed chunk costs).
-    out="${OUT_DIR}/BENCH_parallel.json"
-  elif [[ "${bench}" == "bench_dist_sweep" ]]; then
+  if [[ "${bench}" == "bench_dist_sweep" ]]; then
     # Short name for the multi-process fan-out overhead baseline.
     out="${OUT_DIR}/BENCH_dist.json"
   fi
@@ -92,17 +88,6 @@ for bench in "${BENCHES[@]}"; do
     --benchmark_format=console
     --benchmark_out="${out}"
     --benchmark_out_format=json)
-  # The executor bench is an A/B comparison, so interleave its repetitions
-  # randomly and take more of them: sequential case order would fold slow
-  # machine drift (cgroup throttling, frequency scaling — easily 2x on
-  # shared containers) into whichever scheduler happens to run last. The
-  # later --benchmark_repetitions wins. (Appended conditionally rather than
-  # via an empty-by-default array: bash 3.2 under `set -u` rejects
-  # expanding an empty array, and macOS still ships 3.2.)
-  if [[ "${bench}" == "bench_parallel_executor" ]]; then
-    bench_cmd+=(--benchmark_enable_random_interleaving=true
-      --benchmark_repetitions=9)
-  fi
   if [[ "${HAVE_PYTHON3}" -eq 1 ]]; then
     rss_file="$(mktemp)"
     run_with_rss "${rss_file}" "${bench_cmd[@]}"

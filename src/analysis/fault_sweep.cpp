@@ -163,8 +163,8 @@ FaultSweepRecord evaluate_one(const RoutingTable& table, SrgScratch& scratch,
   rec.survivors = res.survivors;
   rec.arcs = res.arcs;
   if (options.delivery_pairs > 0) {
-    // The scratch is still struck from evaluate() above; materialize
-    // without a second strike.
+    // The scratch still holds this set from evaluate() above; materialize
+    // without applying it again.
     Rng rng = Rng::stream(options.seed, set_index);
     rec.delivery = measure_delivery_on(table, scratch.last_surviving_graph(),
                                        options.delivery_pairs, rng);
@@ -232,11 +232,10 @@ SweepPartial stream_partial_impl(const RoutingTable& table,
     const std::uint64_t base = base_index + partial.sets;
     ExecutorStats batch_stats;
     parallel_for_chunks(
-        options.exec.executor, filled, workers, batch_size,
+        filled, workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
-          scratch.set_kernel(options.exec.kernel);
           for (std::size_t i = begin; i < end; ++i) {
             records[i] =
                 evaluate_one(table, scratch, batch[i], options, base + i);
@@ -317,18 +316,17 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
     ExecutorStats batch_stats;
     // Packed evaluates up to lane_width() Gray-adjacent sets per
     // bit-parallel pass, but cannot materialize per-set surviving graphs —
-    // delivery sampling degrades it to the incremental (bitset) path.
+    // delivery sampling degrades it to the bitset path.
     // resolved_kernel is the canonical statement of this rule.
     const bool packed =
         options.exec.resolved_kernel(/*gray_adjacent=*/true,
                                      options.delivery_pairs > 0) ==
         SrgKernel::kPacked;
     parallel_for_chunks(
-        options.exec.executor, filled, workers, batch_size,
+        filled, workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
-          scratch.set_kernel(options.exec.kernel);
           GraySubsetEnumerator e(n, f, base + begin);
           if (packed) {
             scratch.set_lane_width(options.exec.lanes);
@@ -347,27 +345,14 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
             }
             return;
           }
-          std::vector<Node> faults(e.current().begin(), e.current().end());
-          scratch.begin_incremental(faults);
+          // Adjacent ranks differ by one element, which is all evaluate()
+          // re-applies.
+          std::vector<Node> faults;
           for (std::size_t r = begin; r < end; ++r) {
-            FaultSweepRecord& rec = records[r];
-            const auto res = scratch.evaluate_incremental();
-            rec.diameter = res.diameter;
-            rec.survivors = res.survivors;
-            rec.arcs = res.arcs;
-            rec.delivery = {};
-            if (options.delivery_pairs > 0) {
-              Rng rng = Rng::stream(options.seed, base + r);
-              rec.delivery = measure_delivery_on(
-                  table, scratch.incremental_surviving_graph(),
-                  options.delivery_pairs, rng);
-            }
-            if (r + 1 < end) {
-              e.advance();
-              const GrayTransition& t = e.last_transition();
-              scratch.unstrike(static_cast<Node>(t.out));
-              scratch.strike(static_cast<Node>(t.in));
-            }
+            faults.assign(e.current().begin(), e.current().end());
+            records[r] =
+                evaluate_one(table, scratch, faults, options, base + r);
+            if (r + 1 < end) e.advance();
           }
         },
         &batch_stats);

@@ -24,10 +24,11 @@
 // shared generator.
 //
 // sweep_exhaustive_gray is the fast path for "all C(n, f) fault sets": it
-// enumerates in revolving-door order and evaluates each set by an O(delta)
-// strike/unstrike against the incremental SRG kill index, instead of
-// rebuilding the index per set. Its output is bit-identical to streaming an
-// ExhaustiveGraySource through the generic engine (differentially tested).
+// enumerates in revolving-door order and evaluates blocks of adjacent sets
+// on the packed kernel, or — when per-set graphs are needed or the bitset
+// kernel is requested — each set as a one-element delta on the worker's
+// scratch. Its output is bit-identical to streaming an ExhaustiveGraySource
+// through the generic engine (differentially tested).
 #pragma once
 
 #include <cstdint>
@@ -297,10 +298,10 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
                                      FaultSetSource& source,
                                      const FaultSweepOptions& options = {});
 
-/// Exhaustive sweep over all C(n, f) fault sets in revolving-door order,
-/// evaluated incrementally: each worker chunk seeds the enumeration at its
-/// gray rank, strikes the first subset once, then applies one
-/// strike/unstrike pair per subsequent set. Aggregates are bit-identical to
+/// Exhaustive sweep over all C(n, f) fault sets in revolving-door order:
+/// each worker chunk seeds the enumeration at its gray rank and walks it,
+/// in packed blocks or one set at a time on one scratch (so each
+/// evaluation is a one-element delta). Aggregates are bit-identical to
 /// streaming an ExhaustiveGraySource through sweep_fault_source. Requires
 /// C(n, f) to be representable (no uint64 saturation).
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,

@@ -5,7 +5,7 @@
 // Every verb rejects unknown flags and missing flag values uniformly (exit
 // 2 with the verb's usage on stderr), answers `--help` with usage generated
 // from its flag registry (stdout, exit 0), and resolves its execution knobs
-// — threads, kernel, lanes, batch, executor, progress cadence — through the
+// — threads, kernel, lanes, batch, progress cadence — through the
 // ONE ExecPolicy authority in common/exec_policy.hpp.
 #pragma once
 

@@ -9,7 +9,7 @@
 //     UsageError: the message and the verb's usage go to stderr, exit 2;
 //   * any other exception prints "error: <what>" to stderr, exit 1;
 //   * execution knobs parse through parse_exec_flag() against the verb's
-//     ExecFlagBit mask, so `--threads/--kernel/--lanes/--batch/--executor/
+//     ExecFlagBit mask, so `--threads/--kernel/--lanes/--batch/
 //     --progress-every` mean the same thing on every verb that has them
 //     (common/exec_policy.hpp is the single resolution authority).
 #pragma once

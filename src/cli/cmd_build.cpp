@@ -30,8 +30,7 @@ const VerbSpec& spec() {
                "also check the plan's claimed tolerance and exit nonzero\n"
                "        when the certificate fails"},
           },
-      .exec_mask = kExecFlagThreads | kExecFlagKernel | kExecFlagLanes |
-                   kExecFlagExecutor,
+      .exec_mask = kExecFlagThreads | kExecFlagKernel | kExecFlagLanes,
       .min_positional = 0,
       .max_positional = 0,
       .notes =

@@ -61,7 +61,7 @@ struct GrayTransition {
 
 /// Revolving-door (Gray-code) enumeration of all k-subsets of {0,...,n-1}:
 /// consecutive subsets differ by exactly one element swap, so a consumer
-/// holding per-element state (the SRG engine's incremental kill index) can
+/// holding per-element state (the SRG engine's fault-set state) can
 /// update in O(delta) instead of rebuilding per subset. The order is the
 /// classic recursion
 ///

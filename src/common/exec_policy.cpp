@@ -13,8 +13,6 @@ const char* srg_kernel_name(SrgKernel kernel) {
   switch (kernel) {
     case SrgKernel::kAuto:
       return "auto";
-    case SrgKernel::kScalar:
-      return "scalar";
     case SrgKernel::kBitset:
       return "bitset";
     case SrgKernel::kPacked:
@@ -25,25 +23,8 @@ const char* srg_kernel_name(SrgKernel kernel) {
 
 std::optional<SrgKernel> parse_srg_kernel(std::string_view name) {
   if (name == "auto") return SrgKernel::kAuto;
-  if (name == "scalar") return SrgKernel::kScalar;
   if (name == "bitset") return SrgKernel::kBitset;
   if (name == "packed") return SrgKernel::kPacked;
-  return std::nullopt;
-}
-
-const char* executor_kind_name(ExecutorKind kind) {
-  switch (kind) {
-    case ExecutorKind::kCursor:
-      return "cursor";
-    case ExecutorKind::kWorkStealing:
-      return "steal";
-  }
-  return "steal";
-}
-
-std::optional<ExecutorKind> parse_executor_kind(std::string_view name) {
-  if (name == "steal") return ExecutorKind::kWorkStealing;
-  if (name == "cursor") return ExecutorKind::kCursor;
   return std::nullopt;
 }
 
@@ -57,9 +38,7 @@ unsigned ExecPolicy::resolved_lanes() const {
 
 SrgKernel ExecPolicy::resolved_kernel(bool gray_adjacent,
                                       bool materialize_per_set) const {
-  if (kernel == SrgKernel::kScalar || kernel == SrgKernel::kBitset) {
-    return kernel;
-  }
+  if (kernel == SrgKernel::kBitset) return kernel;
   // kAuto and kPacked: packed wherever it applies (Gray-adjacent streams
   // that never need a per-set surviving graph), bitset everywhere else.
   if (gray_adjacent && !materialize_per_set) return SrgKernel::kPacked;
@@ -73,15 +52,13 @@ const std::vector<ExecFlagInfo>& exec_flag_registry() {
       {kExecFlagThreads, "--threads", "T",
        "worker threads (0 = all cores, capped at 256; default 1)"},
       {kExecFlagKernel, "--kernel", "K",
-       "SRG kernel: auto | scalar | bitset | packed (default auto)"},
+       "SRG kernel: auto | bitset | packed (default auto)"},
       {kExecFlagLanes, "--lanes", "L",
        "packed block width: auto | 64 | 128 | 256 | 512 (default auto;\n"
        "        auto honors FTROUTE_FORCE_LANE_WIDTH, then cpuid; an explicit\n"
        "        width beats the env pin)"},
       {kExecFlagBatch, "--batch", "B",
        "items per worker per batch"},
-      {kExecFlagExecutor, "--executor", "E",
-       "chunk scheduler: steal | cursor (default steal)"},
       {kExecFlagProgress, "--progress-every", "N",
        "emit a progress line to stderr every N items (0 = never)"},
   };
@@ -125,7 +102,7 @@ void apply_exec_flag(unsigned bit, const std::string& value,
     case kExecFlagKernel: {
       const auto parsed = parse_srg_kernel(value);
       if (!parsed.has_value()) {
-        bad_value(value, "--kernel", "auto|scalar|bitset|packed");
+        bad_value(value, "--kernel", "auto|bitset|packed");
       }
       policy.kernel = *parsed;
       return;
@@ -142,12 +119,6 @@ void apply_exec_flag(unsigned bit, const std::string& value,
       policy.batch_size =
           static_cast<std::size_t>(parse_flag_u64(value, "--batch"));
       return;
-    case kExecFlagExecutor: {
-      const auto parsed = parse_executor_kind(value);
-      if (!parsed.has_value()) bad_value(value, "--executor", "steal|cursor");
-      policy.executor = *parsed;
-      return;
-    }
     case kExecFlagProgress:
       policy.progress_every = parse_flag_u64(value, "--progress-every");
       return;
@@ -188,10 +159,12 @@ std::string exec_policy_usage(unsigned mask) {
 
 namespace {
 
-constexpr std::uint32_t kExecPolicyVersion = 1;
-// v1 payload after the version word: u32 threads | u8 kernel | u32 lanes |
-// u64 batch_size | u8 executor | u64 progress_every.
-constexpr std::size_t kExecPolicyV1Bytes = 4 + 4 + 1 + 4 + 8 + 1 + 8;
+// v1 blobs (an executor byte, a scalar kernel value) are refused by
+// version, so a renumbered kernel byte can never be misread.
+constexpr std::uint32_t kExecPolicyVersion = 2;
+// v2 payload after the version word: u32 threads | u8 kernel | u32 lanes |
+// u64 batch_size | u64 progress_every.
+constexpr std::size_t kExecPolicyPayloadBytes = 4 + 1 + 4 + 8 + 8;
 
 void put_u32(std::uint32_t v, std::vector<unsigned char>& out) {
   for (int i = 0; i < 4; ++i) {
@@ -234,7 +207,6 @@ void encode_exec_policy(const ExecPolicy& policy,
   out.push_back(static_cast<unsigned char>(policy.kernel));
   put_u32(policy.lanes, out);
   put_u64(policy.batch_size, out);
-  out.push_back(static_cast<unsigned char>(policy.executor));
   put_u64(policy.progress_every, out);
 }
 
@@ -247,8 +219,9 @@ ExecPolicy decode_exec_policy(const unsigned char* data, std::size_t size,
                   "exec policy version " << version
                                          << " not understood (expected "
                                          << kExecPolicyVersion << ")");
-  FTR_EXPECTS_MSG(size - pos >= kExecPolicyV1Bytes - 4,
-                  "exec policy v1 payload truncated");
+  FTR_EXPECTS_MSG(size - pos >= kExecPolicyPayloadBytes,
+                  "exec policy v" << kExecPolicyVersion
+                                  << " payload truncated");
   ExecPolicy policy;
   policy.threads = get_u32(data, pos);
   const unsigned char kernel = data[pos++];
@@ -260,12 +233,6 @@ ExecPolicy decode_exec_policy(const unsigned char* data, std::size_t size,
   FTR_EXPECTS_MSG(policy.lanes == 0 || is_valid_lane_width(policy.lanes),
                   "exec policy lane width " << policy.lanes << " out of range");
   policy.batch_size = static_cast<std::size_t>(get_u64(data, pos));
-  const unsigned char executor = data[pos++];
-  FTR_EXPECTS_MSG(
-      executor <= static_cast<unsigned char>(ExecutorKind::kWorkStealing),
-      "exec policy executor byte " << static_cast<unsigned>(executor)
-                                   << " out of range");
-  policy.executor = static_cast<ExecutorKind>(executor);
   policy.progress_every = get_u64(data, pos);
   return policy;
 }

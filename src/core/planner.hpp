@@ -77,8 +77,7 @@ struct CertifiedRouting {
 /// check fans across check_options.threads workers; the certificate is
 /// bit-identical for any thread count. When the fault budget allows
 /// exhausting f <= 3 the certification runs the revolving-door fast path
-/// (incremental strike/unstrike over the shared SRG index) instead of
-/// rebuilding the kill index per fault set.
+/// (exhaustive_worst_faults_gray over the shared SRG index).
 CertifiedRouting build_certified_routing(
     const Graph& g, std::optional<std::uint32_t> known_connectivity, Rng& rng,
     const ToleranceCheckOptions& check_options = {});

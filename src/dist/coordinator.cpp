@@ -513,13 +513,12 @@ UnitSpec DistSweepPool::base_sweep_unit(
   u.kind = kind;
   u.seed = sweep_options.seed;
   u.delivery_pairs = sweep_options.delivery_pairs;
-  // kernel/lanes follow the sweep request; threads/batch/executor are the
+  // kernel/lanes follow the sweep request; threads/batch are the
   // pool's per-worker knobs. Progress is coordinator-side only — workers
   // never emit it.
   u.exec = sweep_options.exec;
   u.exec.threads = options_.exec.threads;
   u.exec.batch_size = options_.exec.batch_size;
-  u.exec.executor = options_.exec.executor;
   u.exec.progress_every = 0;
   return u;
 }

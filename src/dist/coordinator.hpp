@@ -52,7 +52,7 @@ struct DistPoolOptions {
   std::uint64_t unit_items = 0;
   /// How units execute INSIDE each worker process (the process x thread
   /// hierarchy): exec.threads is the per-worker thread count, and
-  /// kernel/lanes/batch/executor ride along unchanged. Unit boundaries are
+  /// kernel/lanes/batch ride along unchanged. Unit boundaries are
   /// invariant under every knob, so stdout never depends on any of them.
   ExecPolicy exec;
   /// Per-unit wall-clock budget; a worker that blows it is SIGKILLed and

@@ -70,7 +70,7 @@ struct UnitSpec {
   std::uint64_t max_steps = 0;       // kAdvClimb step budget
   std::uint32_t stop_above = 0;      // kAdvGray/kAdvLex early-stop threshold
   /// How the unit executes INSIDE the worker process: threads, kernel,
-  /// lanes, batch size, executor. Carried over the wire via the versioned
+  /// lanes, batch size. Carried over the wire via the versioned
   /// encode_exec_policy blob (common/exec_policy.hpp) — pure throughput
   /// knobs; units stay result-invariant across all of them.
   ExecPolicy exec;

@@ -16,12 +16,11 @@ namespace {
 // One shared preprocessing, one scratch per worker chunk — the same
 // evaluator shape check_tolerance uses, so a distributed check evaluates
 // exactly what the in-process check would.
-FaultEvaluatorFactory snapshot_evaluator_factory(const TableSnapshot& snapshot,
-                                                 SrgKernel kernel) {
+FaultEvaluatorFactory snapshot_evaluator_factory(
+    const TableSnapshot& snapshot) {
   const std::shared_ptr<const SrgIndex> index = snapshot.index;
-  return [index, kernel]() {
+  return [index]() {
     auto scratch = std::make_shared<SrgScratch>(*index);
-    scratch->set_kernel(kernel);
     return [index, scratch](const std::vector<Node>& faults) {
       return scratch->surviving_diameter(faults);
     };
@@ -92,15 +91,15 @@ AdvPartial execute_adv_unit(const TableSnapshot& snapshot,
                                                 unit.stop_above);
     case UnitKind::kAdvLex:
       return exhaustive_worst_faults_slice(
-          n, unit.f, snapshot_evaluator_factory(snapshot, unit.exec.kernel),
+          n, unit.f, snapshot_evaluator_factory(snapshot),
           unit.begin, unit.end, exec, unit.stop_above);
     case UnitKind::kAdvSampled:
       return sampled_worst_faults_slice(
           n, unit.f, unit.begin, unit.end,
-          snapshot_evaluator_factory(snapshot, unit.exec.kernel), unit.seed, exec);
+          snapshot_evaluator_factory(snapshot), unit.seed, exec);
     case UnitKind::kAdvClimb:
       return hillclimb_worst_faults_slice(
-          n, unit.f, snapshot_evaluator_factory(snapshot, unit.exec.kernel),
+          n, unit.f, snapshot_evaluator_factory(snapshot),
           unit.seed, exec, unit.begin, unit.end,
           static_cast<std::size_t>(unit.max_steps), unit.climb_seeds);
     default:

@@ -56,7 +56,7 @@ AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
 
   ExecutorStats stats;
   parallel_for_chunks(
-      policy.executor, count, threads, grain,
+      count, threads, grain,
       [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
         // A chunk past an already-stopped one will be discarded by the
         // ordered merge, so skipping — or, via `aborted`, bailing out
@@ -248,30 +248,26 @@ AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
       [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
           const auto& aborted) {
         SrgScratch scratch(index);
-        scratch.set_kernel(exec.exec.kernel);
         GraySubsetEnumerator e(n, f, begin);
-        std::vector<Node> faults(e.current().begin(), e.current().end());
-        scratch.begin_incremental(faults);
+        std::vector<Node> faults;
         for (std::uint64_t r = begin; r < end; ++r) {
           // A lower chunk stopped: this partial is merge-dead, drop it now.
           if (aborted()) return;
-          const std::uint32_t d = scratch.evaluate_incremental().diameter;
+          // Adjacent ranks differ by one element, which is all evaluate()
+          // re-applies.
+          faults.assign(e.current().begin(), e.current().end());
+          const std::uint32_t d = scratch.evaluate(faults).diameter;
           ++p.evaluations;
           if (!p.any || d > p.d) {
             p.any = true;
             p.d = d;
-            p.faults.assign(e.current().begin(), e.current().end());
+            p.faults = faults;
           }
           if (stop_above != 0 && d > stop_above) {
             p.stopped = true;
             break;
           }
-          if (r + 1 < end) {
-            e.advance();
-            const GrayTransition& t = e.last_transition();
-            scratch.unstrike(static_cast<Node>(t.out));
-            scratch.strike(static_cast<Node>(t.in));
-          }
+          if (r + 1 < end) e.advance();
         }
       });
 }
@@ -435,7 +431,7 @@ AdvPartial hillclimb_worst_faults_slice(
   // One restart per chunk: climbs dominate the cost and balance poorly, so
   // the finest grain gives the scheduler the most room.
   parallel_for_chunks(
-      exec.exec.executor, count, exec.exec.resolved_threads(), 1,
+      count, exec.exec.resolved_threads(), 1,
       [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
         (void)c_end;
         if (chunk > first_stop.load(std::memory_order_relaxed)) return;

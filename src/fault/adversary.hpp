@@ -104,9 +104,9 @@ AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
                                         std::uint32_t stop_above = 0);
 
 /// Ground truth over an SrgIndex via the revolving-door fast path: fault
-/// sets are enumerated in Gray order and each worker applies one
-/// strike/unstrike delta per set against its incremental kill index instead
-/// of rebuilding it — the f <= 3 certification fast path behind
+/// sets are enumerated in Gray order and each worker evaluates them on the
+/// packed kernel, or on one scratch whose fault-set state moves by one
+/// element per set — the f <= 3 certification fast path behind
 /// check_tolerance/build_certified_routing. Same chunked merge discipline
 /// as the lexicographic factory form (rank-ordered chunks, first set
 /// reaching the max wins, everything after the first early-stopped chunk

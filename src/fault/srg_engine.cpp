@@ -1,7 +1,6 @@
 #include "fault/srg_engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "common/contracts.hpp"
@@ -107,147 +106,103 @@ std::size_t SrgIndex::memory_bytes() const {
          src_pair_ids_.memory_bytes();
 }
 
-SrgScratch::SrgScratch(const SrgIndex& index) : index_(&index) {
-  const std::size_t n = index.n_;
-  fault_stamp_.assign(n, 0);
-  route_stamp_.assign(index.route_src_.size(), 0);
-  pair_stamp_.assign(index.num_pairs_, 0);
-  arc_off_.assign(n + 1, 0);
-  arc_cursor_.assign(n, 0);
-  seen_stamp_.assign(n, 0);
-  dist_.assign(n, 0);
-  queue_.reserve(n);
-  arcs_.reserve(index.num_pairs_);
-  words_ = bit_words(n);
-  visited_bits_.assign(words_, 0);
-  frontier_bits_.assign(words_, 0);
-  next_bits_.assign(words_, 0);
-}
+SrgScratch::SrgScratch(const SrgIndex& index)
+    : index_(&index), words_(bit_words(index.n_)) {}
 
-void SrgScratch::reset() {
-  std::fill(fault_stamp_.begin(), fault_stamp_.end(), 0);
-  std::fill(route_stamp_.begin(), route_stamp_.end(), 0);
-  std::fill(pair_stamp_.begin(), pair_stamp_.end(), 0);
-  std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-  epoch_ = 0;
-  bfs_epoch_ = 0;
-  inc_active_ = false;
-  inc_bits_active_ = false;
-  bits_valid_ = false;
-}
-
-void SrgScratch::set_epochs_for_testing(std::uint32_t epoch) {
-  reset();
-  epoch_ = epoch;
-  bfs_epoch_ = epoch;
-}
-
-std::uint32_t SrgScratch::strike(std::span<const Node> faults) {
-  const SrgIndex& ix = *index_;
-  ++epoch_;
-  if (epoch_ == 0) {
-    // Stamp wrap, once per 2^32 strikes: a stale stamp from the previous
-    // counter era could otherwise collide with a fresh epoch value. Re-zero
-    // every strike-side stamp and restart the counter above the zeroes.
-    std::fill(fault_stamp_.begin(), fault_stamp_.end(), 0);
-    std::fill(route_stamp_.begin(), route_stamp_.end(), 0);
-    std::fill(pair_stamp_.begin(), pair_stamp_.end(), 0);
-    epoch_ = 1;
-  }
-  auto survivors = static_cast<std::uint32_t>(ix.n_);
-  for (Node f : faults) {
-    FTR_EXPECTS_MSG(f < ix.n_, "fault " << f << " out of range");
-    if (fault_stamp_[f] == epoch_) continue;  // duplicate fault id
-    fault_stamp_[f] = epoch_;
-    --survivors;
-    for (std::uint32_t i = ix.node_route_off_[f]; i < ix.node_route_off_[f + 1];
-         ++i) {
-      route_stamp_[ix.node_route_ids_[i]] = epoch_;
-    }
-  }
-
-  // Collect surviving arcs, one per ordered pair with a live route.
-  arcs_.clear();
-  const std::size_t num_routes = ix.route_src_.size();
-  for (std::uint32_t r = 0; r < num_routes; ++r) {
-    if (route_stamp_[r] == epoch_) continue;
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (pair_stamp_[pid] == epoch_) continue;
-    pair_stamp_[pid] = epoch_;
-    arcs_.emplace_back(ix.route_src_[r], ix.route_dst_[r]);
-  }
-
-  // Counting sort by source into the scratch CSR.
-  std::fill(arc_off_.begin(), arc_off_.end(), 0);
-  for (const auto& [src, dst] : arcs_) ++arc_off_[src + 1];
-  for (std::size_t i = 1; i <= ix.n_; ++i) arc_off_[i] += arc_off_[i - 1];
-  arc_tgt_.resize(arcs_.size());
-  std::copy(arc_off_.begin(), arc_off_.end() - 1, arc_cursor_.begin());
-  for (const auto& [src, dst] : arcs_) arc_tgt_[arc_cursor_[src]++] = dst;
-  bits_valid_ = false;  // bitset view of this set is rebuilt on demand
-  return survivors;
-}
-
-std::uint32_t SrgScratch::bfs_from(Node s, std::uint32_t* reached_out) {
-  ++bfs_epoch_;
-  if (bfs_epoch_ == 0) {  // same wraparound discipline as strike()
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    bfs_epoch_ = 1;
-  }
-  queue_.clear();
-  queue_.push_back(s);
-  seen_stamp_[s] = bfs_epoch_;
-  dist_[s] = 0;
-  std::uint32_t reached = 1;
-  std::uint32_t ecc = 0;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const Node u = queue_[qi];
-    const std::uint32_t du = dist_[u];
-    for (std::uint32_t i = arc_off_[u]; i < arc_off_[u + 1]; ++i) {
-      const Node v = arc_tgt_[i];
-      if (seen_stamp_[v] == bfs_epoch_) continue;
-      seen_stamp_[v] = bfs_epoch_;
-      dist_[v] = du + 1;
-      ecc = du + 1;
-      ++reached;
-      queue_.push_back(v);
-    }
-  }
-  if (reached_out != nullptr) *reached_out = reached;
-  return ecc;
-}
-
-void SrgScratch::ensure_bits() {
-  if (bits_valid_) return;
+void SrgScratch::seed() {
   const SrgIndex& ix = *index_;
   const std::size_t n = ix.n_;
-  if (succ_bits_.empty()) {
-    succ_bits_.resize(n * words_);
-    pred_bits_.resize(n * words_);
-    alive_bits_.resize(words_);
-  }
-  std::fill(succ_bits_.begin(), succ_bits_.end(), 0);
-  std::fill(pred_bits_.begin(), pred_bits_.end(), 0);
-  std::fill(alive_bits_.begin(), alive_bits_.end(), 0);
+  faulty_.assign(n, 0);
+  in_next_.assign(n, 0);
+  route_kill_.assign(ix.route_src_.size(), 0);
+  pair_live_.assign(ix.pair_route_count_.begin(), ix.pair_route_count_.end());
+  survivors_ = static_cast<std::uint32_t>(n);
+  arcs_ = static_cast<std::uint32_t>(ix.num_pairs_);
+  succ_bits_.assign(n * words_, 0);
+  pred_bits_.assign(n * words_, 0);
+  alive_bits_.assign(words_, 0);
   for (Node v = 0; v < n; ++v) {
-    if (fault_stamp_[v] != epoch_) {
-      alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
+    alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
   }
-  for (const auto& [src, dst] : arcs_) {
+  for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
+    const Node src = ix.pair_src_[pid];
+    const Node dst = ix.pair_dst_[pid];
     succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1} << (dst & 63);
     pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1} << (src & 63);
   }
-  bits_valid_ = true;
+  visited_bits_.assign(words_, 0);
+  frontier_bits_.assign(words_, 0);
+  next_bits_.assign(words_, 0);
+  seeded_ = true;
 }
 
-std::uint32_t SrgScratch::bfs_from_bits(const std::uint64_t* succ,
-                                        const std::uint64_t* pred,
-                                        const std::uint64_t* alive,
-                                        std::uint32_t survivors, Node s,
-                                        std::uint32_t* reached_out,
-                                        bool fill_dist) {
+void SrgScratch::strike(Node v) {
+  const SrgIndex& ix = *index_;
+  faulty_[v] = 1;
+  --survivors_;
+  alive_bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
+       ++i) {
+    const std::uint32_t r = ix.node_route_ids_[i];
+    if (route_kill_[r]++ != 0) continue;  // already dead via another fault
+    const std::uint32_t pid = ix.route_pair_[r];
+    if (--pair_live_[pid] != 0) continue;  // another route still serves it
+    const Node src = ix.pair_src_[pid];
+    const Node dst = ix.pair_dst_[pid];
+    succ_bits_[src * words_ + (dst >> 6)] &= ~(std::uint64_t{1} << (dst & 63));
+    pred_bits_[dst * words_ + (src >> 6)] &= ~(std::uint64_t{1} << (src & 63));
+    --arcs_;
+  }
+}
+
+void SrgScratch::unstrike(Node v) {
+  const SrgIndex& ix = *index_;
+  faulty_[v] = 0;
+  ++survivors_;
+  alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
+  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
+       ++i) {
+    const std::uint32_t r = ix.node_route_ids_[i];
+    if (--route_kill_[r] != 0) continue;  // still dead via another fault
+    const std::uint32_t pid = ix.route_pair_[r];
+    if (pair_live_[pid]++ != 0) continue;  // the arc was already live
+    const Node src = ix.pair_src_[pid];
+    const Node dst = ix.pair_dst_[pid];
+    succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1} << (dst & 63);
+    pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1} << (src & 63);
+    ++arcs_;
+  }
+}
+
+void SrgScratch::apply_faults(std::span<const Node> faults) {
+  const std::size_t n = index_->n_;
+  for (Node f : faults) {
+    FTR_EXPECTS_MSG(f < n, "fault " << f << " out of range");
+  }
+  if (!seeded_) seed();
+  next_faults_.clear();
+  for (Node f : faults) {
+    if (in_next_[f]) continue;  // duplicate fault id
+    in_next_[f] = 1;
+    next_faults_.push_back(f);
+  }
+  for (Node v : faults_) {
+    if (!in_next_[v]) unstrike(v);
+  }
+  for (Node v : next_faults_) {
+    if (!faulty_[v]) strike(v);
+    in_next_[v] = 0;
+  }
+  faults_.swap(next_faults_);
+}
+
+std::uint32_t SrgScratch::bfs_from(Node s, std::uint32_t* reached_out,
+                                   bool fill_dist) {
   const std::size_t W = words_;
+  const std::uint64_t* succ = succ_bits_.data();
+  const std::uint64_t* pred = pred_bits_.data();
+  const std::uint64_t* alive = alive_bits_.data();
+  const std::uint32_t survivors = survivors_;
   std::fill_n(visited_bits_.data(), W, 0);
   std::fill_n(frontier_bits_.data(), W, 0);
   const std::uint64_t sbit = std::uint64_t{1} << (s & 63);
@@ -324,251 +279,27 @@ std::uint32_t SrgScratch::bfs_from_bits(const std::uint64_t* succ,
   return ecc;
 }
 
-template <typename FaultyFn>
-std::uint32_t SrgScratch::bitset_diameter(const std::uint64_t* succ,
-                                          const std::uint64_t* pred,
-                                          const std::uint64_t* alive,
-                                          std::uint32_t survivors,
-                                          FaultyFn&& faulty) {
-  std::uint32_t diam = 0;
-  for (Node s = 0; s < index_->n_; ++s) {
-    if (faulty(s)) continue;
-    std::uint32_t reached = 0;
-    const std::uint32_t ecc =
-        bfs_from_bits(succ, pred, alive, survivors, s, &reached, false);
-    if (reached < survivors) return kUnreachable;
-    diam = std::max(diam, ecc);
-  }
-  return diam;
-}
-
 SrgScratch::Result SrgScratch::evaluate(std::span<const Node> faults) {
-  const std::uint32_t survivors = strike(faults);
+  apply_faults(faults);
   Result res;
-  res.survivors = survivors;
-  res.arcs = static_cast<std::uint32_t>(arcs_.size());
-  if (survivors <= 1) return res;  // diameter 0 by convention
-  if (single_set_kernel() == SrgKernel::kBitset) {
-    ensure_bits();
-    res.diameter = bitset_diameter(
-        succ_bits_.data(), pred_bits_.data(), alive_bits_.data(), survivors,
-        [this](Node v) { return fault_stamp_[v] == epoch_; });
-    return res;
-  }
-  std::uint32_t diam = 0;
+  res.survivors = survivors_;
+  res.arcs = arcs_;
+  if (survivors_ <= 1) return res;  // diameter 0 by convention
   for (Node s = 0; s < index_->n_; ++s) {
-    if (fault_stamp_[s] == epoch_) continue;
+    if (faulty_[s]) continue;
     std::uint32_t reached = 0;
-    const std::uint32_t ecc = bfs_from(s, &reached);
-    if (reached < survivors) {
+    const std::uint32_t ecc = bfs_from(s, &reached, /*fill_dist=*/false);
+    if (reached < survivors_) {
       res.diameter = kUnreachable;
       return res;
     }
-    diam = std::max(diam, ecc);
+    res.diameter = std::max(res.diameter, ecc);
   }
-  res.diameter = diam;
-  return res;
-}
-
-SrgScratch::Result SrgScratch::apply(std::span<const Node> faults) {
-  Result res;
-  res.survivors = strike(faults);
-  res.arcs = static_cast<std::uint32_t>(arcs_.size());
   return res;
 }
 
 std::uint32_t SrgScratch::surviving_diameter(std::span<const Node> faults) {
   return evaluate(faults).diameter;
-}
-
-// --- incremental (Gray) mode -------------------------------------------------
-
-void SrgScratch::begin_incremental(std::span<const Node> faults) {
-  const SrgIndex& ix = *index_;
-  inc_active_ = true;
-  inc_fault_.assign(ix.n_, 0);
-  inc_route_kill_.assign(ix.route_src_.size(), 0);
-  inc_pair_live_.assign(ix.pair_route_count_.begin(),
-                        ix.pair_route_count_.end());
-  inc_slot_.resize(ix.num_pairs_);
-  inc_adj_.resize(ix.n_);
-  for (auto& list : inc_adj_) list.clear();
-  for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
-    auto& list = inc_adj_[ix.pair_src_[pid]];
-    inc_slot_[pid] = static_cast<std::uint32_t>(list.size());
-    list.push_back({ix.pair_dst_[pid], pid});
-  }
-  inc_survivors_ = static_cast<std::uint32_t>(ix.n_);
-  inc_arcs_ = static_cast<std::uint32_t>(ix.num_pairs_);
-  // Latch "maintain bitmaps?" for this incremental session: a scalar-only
-  // walk must not pay the O(n^2 / 8) mirror, and strike()/unstrike() need
-  // one consistent answer for its whole lifetime.
-  inc_bits_active_ = (kernel_ != SrgKernel::kScalar);
-  if (inc_bits_active_) {
-    inc_succ_bits_.assign(ix.n_ * words_, 0);
-    inc_pred_bits_.assign(ix.n_ * words_, 0);
-    inc_alive_bits_.assign(words_, 0);
-    for (Node v = 0; v < ix.n_; ++v) {
-      inc_alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-    }
-    for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
-      const Node src = ix.pair_src_[pid];
-      const Node dst = ix.pair_dst_[pid];
-      inc_succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1}
-                                                   << (dst & 63);
-      inc_pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1}
-                                                   << (src & 63);
-    }
-  }
-  for (Node f : faults) strike(f);
-}
-
-void SrgScratch::inc_add_arc(std::uint32_t pair) {
-  const Node src = index_->pair_src_[pair];
-  const Node dst = index_->pair_dst_[pair];
-  auto& list = inc_adj_[src];
-  inc_slot_[pair] = static_cast<std::uint32_t>(list.size());
-  list.push_back({dst, pair});
-  ++inc_arcs_;
-  if (inc_bits_active_) {
-    // Ordered pairs are unique, so arc <-> pair is one-to-one and the bit
-    // flip cannot clobber another pair's arc.
-    inc_succ_bits_[src * words_ + (dst >> 6)] |= std::uint64_t{1} << (dst & 63);
-    inc_pred_bits_[dst * words_ + (src >> 6)] |= std::uint64_t{1} << (src & 63);
-  }
-}
-
-void SrgScratch::inc_remove_arc(std::uint32_t pair) {
-  const Node src = index_->pair_src_[pair];
-  const Node dst = index_->pair_dst_[pair];
-  auto& list = inc_adj_[src];
-  const std::uint32_t slot = inc_slot_[pair];
-  list[slot] = list.back();
-  inc_slot_[list[slot].pair] = slot;
-  list.pop_back();
-  --inc_arcs_;
-  if (inc_bits_active_) {
-    inc_succ_bits_[src * words_ + (dst >> 6)] &=
-        ~(std::uint64_t{1} << (dst & 63));
-    inc_pred_bits_[dst * words_ + (src >> 6)] &=
-        ~(std::uint64_t{1} << (src & 63));
-  }
-}
-
-void SrgScratch::strike(Node v) {
-  const SrgIndex& ix = *index_;
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  FTR_EXPECTS_MSG(v < ix.n_, "fault " << v << " out of range");
-  FTR_EXPECTS_MSG(!inc_fault_[v], "node " << v << " already faulty");
-  inc_fault_[v] = 1;
-  --inc_survivors_;
-  if (inc_bits_active_) {
-    inc_alive_bits_[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-  }
-  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
-       ++i) {
-    const std::uint32_t r = ix.node_route_ids_[i];
-    if (inc_route_kill_[r]++ != 0) continue;  // already dead via another fault
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (--inc_pair_live_[pid] == 0) inc_remove_arc(pid);
-  }
-}
-
-void SrgScratch::unstrike(Node v) {
-  const SrgIndex& ix = *index_;
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  FTR_EXPECTS_MSG(v < ix.n_, "fault " << v << " out of range");
-  FTR_EXPECTS_MSG(inc_fault_[v], "node " << v << " is not faulty");
-  inc_fault_[v] = 0;
-  ++inc_survivors_;
-  if (inc_bits_active_) {
-    inc_alive_bits_[v >> 6] |= std::uint64_t{1} << (v & 63);
-  }
-  for (std::uint32_t i = ix.node_route_off_[v]; i < ix.node_route_off_[v + 1];
-       ++i) {
-    const std::uint32_t r = ix.node_route_ids_[i];
-    if (--inc_route_kill_[r] != 0) continue;  // still dead via another fault
-    const std::uint32_t pid = ix.route_pair_[r];
-    if (inc_pair_live_[pid]++ == 0) inc_add_arc(pid);
-  }
-}
-
-std::uint32_t SrgScratch::bfs_from_inc(Node s, std::uint32_t* reached_out) {
-  ++bfs_epoch_;
-  if (bfs_epoch_ == 0) {  // same wraparound discipline as bfs_from()
-    std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-    bfs_epoch_ = 1;
-  }
-  queue_.clear();
-  queue_.push_back(s);
-  seen_stamp_[s] = bfs_epoch_;
-  dist_[s] = 0;
-  std::uint32_t reached = 1;
-  std::uint32_t ecc = 0;
-  for (std::size_t qi = 0; qi < queue_.size(); ++qi) {
-    const Node u = queue_[qi];
-    const std::uint32_t du = dist_[u];
-    for (const IncArc& arc : inc_adj_[u]) {
-      const Node v = arc.dst;
-      if (seen_stamp_[v] == bfs_epoch_) continue;
-      seen_stamp_[v] = bfs_epoch_;
-      dist_[v] = du + 1;
-      ecc = du + 1;
-      ++reached;
-      queue_.push_back(v);
-    }
-  }
-  if (reached_out != nullptr) *reached_out = reached;
-  return ecc;
-}
-
-SrgScratch::Result SrgScratch::evaluate_incremental() {
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  Result res;
-  res.survivors = inc_survivors_;
-  res.arcs = inc_arcs_;
-  if (inc_survivors_ <= 1) return res;  // diameter 0 by convention
-  if (inc_bits_active_ && single_set_kernel() == SrgKernel::kBitset) {
-    res.diameter = bitset_diameter(
-        inc_succ_bits_.data(), inc_pred_bits_.data(), inc_alive_bits_.data(),
-        inc_survivors_, [this](Node v) { return inc_fault_[v] != 0; });
-    return res;
-  }
-  std::uint32_t diam = 0;
-  for (Node s = 0; s < index_->n_; ++s) {
-    if (inc_fault_[s]) continue;
-    std::uint32_t reached = 0;
-    const std::uint32_t ecc = bfs_from_inc(s, &reached);
-    if (reached < inc_survivors_) {
-      res.diameter = kUnreachable;
-      return res;
-    }
-    diam = std::max(diam, ecc);
-  }
-  res.diameter = diam;
-  return res;
-}
-
-Digraph SrgScratch::incremental_surviving_graph() const {
-  FTR_EXPECTS_MSG(inc_active_, "begin_incremental() first");
-  const SrgIndex& ix = *index_;
-  Digraph r(ix.n_);
-  for (Node v = 0; v < ix.n_; ++v) {
-    if (inc_fault_[v]) r.remove_node(v);
-  }
-  // Arcs in route-id order, one per pair at its FIRST live route — the
-  // exact insertion order strike()+last_surviving_graph() produces, so
-  // order-sensitive consumers see identical digraphs on both paths.
-  inc_emitted_.assign(ix.num_pairs_, 0);  // member buffer: no per-set alloc
-  const std::size_t num_routes = ix.route_src_.size();
-  for (std::uint32_t rt = 0; rt < num_routes; ++rt) {
-    if (inc_route_kill_[rt] != 0) continue;
-    const std::uint32_t pid = ix.route_pair_[rt];
-    if (inc_emitted_[pid]) continue;
-    inc_emitted_[pid] = 1;
-    r.add_arc(ix.route_src_[rt], ix.route_dst_[rt]);
-  }
-  return r;
 }
 
 // --- packed wide-lane Gray mode ----------------------------------------------
@@ -707,34 +438,20 @@ void SrgScratch::evaluate_gray_block(GraySubsetEnumerator& e,
 std::uint32_t SrgScratch::componentwise_diameter(
     std::span<const Node> faults, std::span<const std::uint32_t> comp) {
   FTR_EXPECTS(comp.size() == index_->n_);
-  const std::uint32_t survivors = strike(faults);
-  if (survivors <= 1) return 0;
+  apply_faults(faults);
+  if (survivors_ <= 1) return 0;
+  // Per-source BFS: reachability from the visited bitmap, distances from
+  // the per-level dist_ fill.
+  dist_.resize(index_->n_);
   std::uint32_t worst = 0;
-  if (single_set_kernel() == SrgKernel::kBitset) {
-    // Same per-source scan, reachability answered from the visited bitmap
-    // and distances from the per-level dist_ fill (BFS levels are unique,
-    // so dist_ is kernel-invariant).
-    ensure_bits();
-    for (Node s = 0; s < index_->n_; ++s) {
-      if (fault_stamp_[s] == epoch_) continue;
-      bfs_from_bits(succ_bits_.data(), pred_bits_.data(), alive_bits_.data(),
-                    survivors, s, nullptr, /*fill_dist=*/true);
-      for (Node t = 0; t < index_->n_; ++t) {
-        if (t == s || fault_stamp_[t] == epoch_ || comp[t] != comp[s]) continue;
-        if ((visited_bits_[t >> 6] & (std::uint64_t{1} << (t & 63))) == 0) {
-          return kUnreachable;
-        }
-        worst = std::max(worst, dist_[t]);
-      }
-    }
-    return worst;
-  }
   for (Node s = 0; s < index_->n_; ++s) {
-    if (fault_stamp_[s] == epoch_) continue;
-    bfs_from(s, nullptr);
+    if (faulty_[s]) continue;
+    bfs_from(s, nullptr, /*fill_dist=*/true);
     for (Node t = 0; t < index_->n_; ++t) {
-      if (t == s || fault_stamp_[t] == epoch_ || comp[t] != comp[s]) continue;
-      if (seen_stamp_[t] != bfs_epoch_) return kUnreachable;
+      if (t == s || faulty_[t] || comp[t] != comp[s]) continue;
+      if ((visited_bits_[t >> 6] & (std::uint64_t{1} << (t & 63))) == 0) {
+        return kUnreachable;
+      }
       worst = std::max(worst, dist_[t]);
     }
   }
@@ -742,17 +459,22 @@ std::uint32_t SrgScratch::componentwise_diameter(
 }
 
 Digraph SrgScratch::surviving_graph(std::span<const Node> faults) {
-  strike(faults);
+  apply_faults(faults);
   return last_surviving_graph();
 }
 
 Digraph SrgScratch::last_surviving_graph() const {
-  FTR_EXPECTS_MSG(epoch_ != 0, "no fault set has been struck yet");
-  Digraph r(index_->n_);
-  for (Node v = 0; v < index_->n_; ++v) {
-    if (fault_stamp_[v] == epoch_) r.remove_node(v);
+  FTR_EXPECTS_MSG(seeded_, "no fault set has been evaluated yet");
+  const SrgIndex& ix = *index_;
+  Digraph r(ix.n_);
+  for (Node v = 0; v < ix.n_; ++v) {
+    if (faulty_[v]) r.remove_node(v);
   }
-  for (const auto& [src, dst] : arcs_) r.add_arc(src, dst);
+  // One arc per pair with a live route. Pair ids follow route-id order,
+  // so this is the order the one-shot path adds them in.
+  for (std::uint32_t pid = 0; pid < ix.num_pairs_; ++pid) {
+    if (pair_live_[pid] != 0) r.add_arc(ix.pair_src_[pid], ix.pair_dst_[pid]);
+  }
   return r;
 }
 

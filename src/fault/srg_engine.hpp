@@ -6,8 +6,7 @@
 // checks, adversarial hill-climbing, recovery sweeps). The one-shot path in
 // fault/surviving.cpp rebuilds a Digraph (one heap vector per node) and
 // re-walks every route per fault set; this layer preprocesses the table
-// once and answers each fault set from reusable, epoch-stamped scratch
-// buffers.
+// once and answers each fault set from reusable scratch state.
 //
 // The split matters for the parallel sweep layer:
 //
@@ -15,32 +14,23 @@
 //    into per-route node ranges plus a node -> routes inverted index. It is
 //    read-only after construction, so ONE index serves any number of
 //    concurrent workers.
-//  * SrgScratch is the per-thread mutable state — the epoch-stamped kill
-//    index, the scratch arc CSR, and the BFS queues. Each sweep worker owns
-//    one; evaluations are allocation-free after warm-up.
+//  * SrgScratch is the per-thread mutable state — one fault-set state plus
+//    BFS buffers. Each sweep worker owns one; evaluations are
+//    allocation-free after warm-up.
 //  * SurvivingRouteGraphEngine is the single-threaded facade (one shared
 //    index + one scratch) that all pre-existing call sites keep using; its
 //    index() handle is what parallel sweeps fan out to worker scratches.
 //
-// Per fault set:
-//  * a fault set of size f kills its routes in O(sum over faults of
-//    routes-through-fault) via the inverted index instead of re-scanning
-//    every route node;
-//  * one pass over the route list collects surviving arcs into a scratch
-//    CSR (counting sort by source), with per-pair dedup for multiroutes;
-//  * BFS runs over the scratch CSR with stamped distance arrays and a flat
-//    queue — no allocation after the first evaluation.
-//
-// On top of the per-set full-rebuild path, SrgScratch has an INCREMENTAL
-// mode for enumerations that visit fault sets by one-element deltas (the
-// revolving-door exhaustive sweep): begin_incremental() seeds a fault set,
-// strike(v)/unstrike(v) apply a delta in O(routes through v) by maintaining
-// exact counts (per-route fault counts, per-pair live-route counts, a
-// per-source live-arc adjacency with O(1) insert/remove) instead of
-// re-deriving the kill index from scratch. evaluate_incremental() answers
-// the same Result a full-rebuild evaluate() would on the same fault set —
-// the differential tests in tests/test_srg_engine.cpp pin the two paths
-// together.
+// ONE FAULT-SET STATE. A scratch holds exact counts for the fault set it
+// last evaluated: per-route fault counts, per-pair live-route counts, and
+// the surviving arcs as succ/pred adjacency bitmaps. evaluate(F) applies
+// the set difference from the previous set — unstrike what left, strike
+// what joined — each in O(routes through the node). Consecutive sets in a
+// Gray-order enumeration differ by one element, hill-climbing steps by one
+// swap, and random sets by at most 2f nodes, so no evaluation re-derives
+// the kill index from scratch. The state is seeded (empty fault set) by the
+// first evaluate(); a scratch that only runs evaluate_gray_block() never
+// pays for it.
 //
 // Semantics match fault/surviving.cpp exactly: an arc x -> y survives iff
 // some route rho(x, y) avoids every fault (endpoints included), and the
@@ -49,18 +39,15 @@
 //
 // EVALUATION KERNELS. The diameter BFS dominates every evaluation (the
 // surviving route graph is near-complete — one arc per ordered pair with a
-// live route — so each BFS touches ~n^2 arcs), and SrgScratch offers three
-// interchangeable kernels for it, selected via set_kernel():
+// live route — so each BFS touches ~n^2 arcs). Two kernels run it:
 //
-//  * kScalar — the original stamped-queue BFS over the scratch CSR. Kept as
-//    the differential oracle every other kernel is tested against.
-//  * kBitset — word-packed frontier/visited bitmaps with a
+//  * bitset — evaluate() and componentwise_diameter(): word-packed
+//    frontier/visited bitmaps over the maintained adjacency bitmaps, with a
 //    direction-optimizing (top-down/bottom-up) switch driven by frontier
 //    density. The surviving route graphs are dense-frontier for most of
 //    each BFS, exactly the regime where bottom-up's "scan unvisited nodes,
-//    test predecessor rows" wins. On the incremental path the adjacency
-//    bitmaps are maintained O(delta) by strike()/unstrike().
-//  * kPacked — evaluate_gray_block(): up to lane_width() adjacent
+//    test predecessor rows" wins.
+//  * packed — evaluate_gray_block(): up to lane_width() adjacent
 //    revolving-door fault sets evaluated against one W-word lane block at a
 //    time (W in {1,2,4,8} words -> 64/128/256/512 lanes; set_lane_width()
 //    forces one, auto picks the widest the CPU profits from — see
@@ -69,16 +56,15 @@
 //    reachability into AND/OR/popcount over lane blocks; the block body is
 //    dispatched at runtime to a portable, AVX2, or AVX-512 instantiation
 //    (fault/srg_packed.hpp). Packed applies ONLY to Gray-adjacent streams
-//    (the exhaustive sweeps); for single-set evaluation it degrades to
-//    kBitset. Lanes are consumed in rank order, so neither the width nor
-//    the chosen instantiation is observable in any result.
-//  * kAuto (default) — bitset for single sets; consumers that enumerate in
-//    Gray order (sweep_exhaustive_gray, exhaustive_worst_faults_gray) pick
-//    packed when no per-set materialization is needed.
+//    that need no per-set surviving graph; its state is independent of the
+//    fault-set state above. Lanes are consumed in rank order, so neither
+//    the width nor the chosen instantiation is observable in any result.
 //
-// All kernels produce bit-identical Results for every fault set — pinned by
-// the differential suite in tests/test_srg_kernels.cpp — so kernel choice,
-// like thread count and batch size, never leaks into any output.
+// Which kernel a consumer runs is ExecPolicy::resolved_kernel's decision
+// (common/exec_policy.hpp). Both produce bit-identical Results for every
+// fault set — pinned against the one-shot oracle by tests/test_srg_engine.cpp
+// and tests/test_srg_kernels.cpp — so kernel choice, like thread count and
+// batch size, never leaks into any output.
 #pragma once
 
 #include <cstdint>
@@ -166,15 +152,11 @@ class SrgScratch {
   const SrgIndex& index() const { return *index_; }
   std::size_t num_nodes() const { return index_->num_nodes(); }
 
-  /// Selects the BFS kernel for evaluate()/evaluate_incremental()/
-  /// componentwise_diameter(). kAuto and kPacked run single-set evaluations
-  /// on the bitset kernel (packed only applies to evaluate_gray_block()).
-  /// Takes effect immediately on the full-rebuild path; the incremental
-  /// path latches "maintain bitmaps?" at begin_incremental(), so switching
-  /// scalar -> bitset mid-walk keeps evaluating scalar until the next
-  /// begin_incremental() (results are identical either way).
-  void set_kernel(SrgKernel kernel) { kernel_ = kernel; }
-  SrgKernel kernel() const { return kernel_; }
+  /// Accepted for callers that configure a scratch from a kernel request;
+  /// it changes nothing. Single-set evaluation always runs the bitset
+  /// kernel and evaluate_gray_block() the packed one — consumers pick
+  /// between them with ExecPolicy::resolved_kernel.
+  void set_kernel(SrgKernel) {}
 
   /// Requests a packed lane width: 0 (the default) resolves at first use
   /// via ftr::resolve_lane_width() — FTROUTE_FORCE_LANE_WIDTH, then the
@@ -194,14 +176,11 @@ class SrgScratch {
     std::uint32_t arcs = 0;
   };
 
-  /// Evaluates one fault set. Repeated calls reuse all scratch state; fault
-  /// ids must be < num_nodes() (duplicates are tolerated).
+  /// Evaluates one fault set by applying its difference from the
+  /// previously evaluated set. Fault ids must be < num_nodes(); duplicates
+  /// are tolerated. Every id is checked before any state changes, so a
+  /// ContractViolation leaves the previous set in place.
   Result evaluate(std::span<const Node> faults);
-
-  /// Strikes the fault set and reports survivors/arcs WITHOUT measuring the
-  /// diameter (left 0) — the kill-index application alone. Benchmarks use
-  /// this to time the phase the incremental mode replaces.
-  Result apply(std::span<const Node> faults);
 
   /// diam R(G, rho)/F — the batched counterpart of ftr::surviving_diameter.
   std::uint32_t surviving_diameter(std::span<const Node> faults);
@@ -217,142 +196,58 @@ class SrgScratch {
   /// need the full structure (property checks, delivery simulation).
   Digraph surviving_graph(std::span<const Node> faults);
 
-  /// Materializes the Digraph for the most recently struck fault set
-  /// without re-striking — for pipelines that already called evaluate() on
-  /// that set. At least one evaluation must have happened since
-  /// construction or reset().
+  /// Materializes the Digraph of the most recently evaluated fault set
+  /// without re-applying it — the graph surviving_graph() in
+  /// fault/surviving.cpp builds. At least one evaluate() must have happened
+  /// since construction.
   Digraph last_surviving_graph() const;
-
-  // --- incremental (Gray) mode ---------------------------------------------
-  // For enumerations that visit fault sets by one-element deltas. The mode
-  // keeps its own exact-count state, fully independent of the epoch-stamped
-  // full-rebuild path above: interleaving evaluate() calls neither corrupts
-  // nor is corrupted by it. All incremental state is (re)built by
-  // begin_incremental().
-
-  /// Enters incremental mode with `faults` as the current fault set
-  /// (ids < num_nodes(), duplicates rejected by contract). Cost is one
-  /// O(routes + pairs) re-initialization plus one strike per fault —
-  /// amortize it over a chunk of delta steps.
-  void begin_incremental(std::span<const Node> faults);
-
-  bool incremental_active() const { return inc_active_; }
-
-  /// Adds fault v to the current set in O(routes through v). v must not be
-  /// faulty already.
-  void strike(Node v);
-
-  /// Removes fault v from the current set in O(routes through v). v must be
-  /// faulty.
-  void unstrike(Node v);
-
-  /// Survivor / surviving-arc counts of the current incremental fault set,
-  /// maintained by the deltas (no recomputation).
-  std::uint32_t incremental_survivors() const { return inc_survivors_; }
-  std::uint32_t incremental_arcs() const { return inc_arcs_; }
-
-  /// Full Result (diameter via BFS over the maintained live arcs) for the
-  /// current incremental fault set. Identical to evaluate() on that set.
-  Result evaluate_incremental();
-
-  /// Materializes the surviving route graph of the current incremental
-  /// fault set, with arcs in the same canonical (route-id) order as
-  /// last_surviving_graph() — so downstream order-sensitive consumers
-  /// (delivery simulation) see bit-identical graphs on both paths.
-  Digraph incremental_surviving_graph() const;
-
-  // --- packed wide-lane Gray mode ------------------------------------------
 
   /// Evaluates `count` (1..lane_width()) CONSECUTIVE revolving-door fault
   /// sets in one bit-parallel pass: out[i] is exactly what evaluate() would
   /// return on the i-th set. The enumerator must be positioned on the first
   /// set of the block over this index's node universe; the call advances it
   /// by count - 1 steps (so the caller advances once more between blocks).
-  /// Independent of both the epoch-stamped and the incremental state —
-  /// interleaving is safe. Runs the packed kernel regardless of
-  /// set_kernel(); callers gate on it.
+  /// Independent of the fault-set state — interleaving with evaluate() is
+  /// safe.
   void evaluate_gray_block(GraySubsetEnumerator& e, std::size_t count,
                            Result* out);
 
-  /// Zeroes every stamp array and restarts both epoch counters. Evaluation
-  /// results never depend on it (the wrap paths below do the same lazily);
-  /// exposed so long-lived servers can re-zero scratch at a quiet moment
-  /// instead of inside a request.
-  void reset();
-
-  /// Test hook for the 2^32 epoch wraparound: plants both counters just
-  /// below `epoch` so a handful of evaluations crosses the wrap. Stamps are
-  /// re-zeroed, so behavior stays exactly as after reset().
-  void set_epochs_for_testing(std::uint32_t epoch);
-
  private:
-  // Stamps faults/killed routes and rebuilds the scratch arc CSR for this
-  // fault set. Returns the number of survivors.
-  std::uint32_t strike(std::span<const Node> faults);
-  // BFS from s over the scratch CSR; returns the eccentricity among reached
-  // survivors and leaves dist/seen stamps for this bfs_epoch_.
-  std::uint32_t bfs_from(Node s, std::uint32_t* reached_out);
-
-  // The kernel single-set evaluations actually run (kAuto/kPacked -> bitset).
-  SrgKernel single_set_kernel() const {
-    return kernel_ == SrgKernel::kScalar ? SrgKernel::kScalar
-                                         : SrgKernel::kBitset;
-  }
-  // (Re)builds succ/pred/alive bitmaps from the current epoch's arcs_ —
-  // the bitset kernel's view of the full-rebuild path. Lazy and gated on
-  // the kernel so the scalar oracle never pays for it.
-  void ensure_bits();
-  // Direction-optimizing bitset BFS over the given n*words_ succ/pred rows
-  // and alive mask. Returns the eccentricity among reached survivors,
-  // stores the reached count, and leaves visited_bits_ (and dist_, when
-  // fill_dist) describing the traversal.
-  std::uint32_t bfs_from_bits(const std::uint64_t* succ,
-                              const std::uint64_t* pred,
-                              const std::uint64_t* alive,
-                              std::uint32_t survivors, Node s,
-                              std::uint32_t* reached_out, bool fill_dist);
-  // Shared diameter loop over all surviving sources for the bitset kernel;
-  // `faulty(v)` must match the path's notion of "currently faulty".
-  template <typename FaultyFn>
-  std::uint32_t bitset_diameter(const std::uint64_t* succ,
-                                const std::uint64_t* pred,
-                                const std::uint64_t* alive,
-                                std::uint32_t survivors, FaultyFn&& faulty);
+  // Moves the fault-set state to `faults` (validated first, seeded on
+  // first use).
+  void apply_faults(std::span<const Node> faults);
+  void seed();
+  void strike(Node v);
+  void unstrike(Node v);
+  // Direction-optimizing bitset BFS from s over succ_bits_/pred_bits_.
+  // Returns the eccentricity among reached survivors, stores the reached
+  // count, and leaves visited_bits_ (and dist_, when fill_dist) describing
+  // the traversal.
+  std::uint32_t bfs_from(Node s, std::uint32_t* reached_out, bool fill_dist);
   void ensure_packed_state();
 
   const SrgIndex* index_;
-  SrgKernel kernel_ = SrgKernel::kAuto;
 
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> fault_stamp_;
-  std::vector<std::uint32_t> route_stamp_;
-  std::vector<std::uint32_t> pair_stamp_;
-  std::vector<std::pair<Node, Node>> arcs_;
-  std::vector<std::uint32_t> arc_off_;     // scratch CSR offsets (n + 1)
-  std::vector<std::uint32_t> arc_cursor_;
-  std::vector<Node> arc_tgt_;
-
-  std::uint32_t bfs_epoch_ = 0;
-  std::vector<std::uint32_t> seen_stamp_;
-  std::vector<std::uint32_t> dist_;
-  std::vector<Node> queue_;
-
-  // Bitset-kernel state. words_ = ceil(n / 64); succ/pred rows are n *
-  // words_ bitmaps. The full-rebuild bitmaps (succ_bits_ etc.) are rebuilt
-  // lazily per strike; the inc_* bitmaps mirror the incremental adjacency
-  // and are maintained O(delta) when inc_bits_active_.
-  std::size_t words_ = 0;
-  bool bits_valid_ = false;
-  std::vector<std::uint64_t> succ_bits_;      // n * words_ (lazy)
-  std::vector<std::uint64_t> pred_bits_;      // n * words_ (lazy)
-  std::vector<std::uint64_t> alive_bits_;     // words_
-  bool inc_bits_active_ = false;
-  std::vector<std::uint64_t> inc_succ_bits_;  // n * words_
-  std::vector<std::uint64_t> inc_pred_bits_;  // n * words_
-  std::vector<std::uint64_t> inc_alive_bits_;
+  // Fault-set state (sized by seed()). The adjacency bitmaps are n *
+  // words_ rows with bit (u, v) set iff pair u -> v has a live route;
+  // ordered pairs are unique, so arc <-> pair is one-to-one.
+  bool seeded_ = false;
+  std::vector<std::uint8_t> faulty_;       // node -> currently faulty?
+  std::vector<Node> faults_;               // current set, distinct ids
+  std::vector<Node> next_faults_;          // evaluate() staging
+  std::vector<std::uint8_t> in_next_;      // evaluate() staging marks
+  std::vector<std::uint32_t> route_kill_;  // route -> #faults on it
+  std::vector<std::uint32_t> pair_live_;   // pair -> #live routes
+  std::uint32_t survivors_ = 0;
+  std::uint32_t arcs_ = 0;
+  std::size_t words_ = 0;                  // ceil(n / 64)
+  std::vector<std::uint64_t> succ_bits_;   // n * words_
+  std::vector<std::uint64_t> pred_bits_;   // n * words_
+  std::vector<std::uint64_t> alive_bits_;  // words_
   std::vector<std::uint64_t> visited_bits_;   // words_, per BFS
   std::vector<std::uint64_t> frontier_bits_;  // words_
   std::vector<std::uint64_t> next_bits_;      // words_
+  std::vector<std::uint32_t> dist_;           // n, componentwise only
 
   // Packed-kernel state (lazy; pk_words_ uint64_t of lanes per node/route/
   // pair — entity i owns words [i*W, (i+1)*W)). The mask arrays are all-
@@ -380,27 +275,6 @@ class SrgScratch {
   std::vector<std::uint32_t> pk_diam_;          // 64*W
   std::vector<std::uint32_t> pk_ecc_;           // 64*W BFS scratch
   std::vector<std::uint64_t> pk_disconnected_;  // W words
-
-  // Incremental-mode state: exact counts plus a per-source live-arc
-  // adjacency. inc_slot_ records each live pair's position in its source
-  // list so removal is a swap-with-back.
-  void inc_add_arc(std::uint32_t pair);
-  void inc_remove_arc(std::uint32_t pair);
-  std::uint32_t bfs_from_inc(Node s, std::uint32_t* reached_out);
-
-  struct IncArc {
-    Node dst;
-    std::uint32_t pair;
-  };
-  bool inc_active_ = false;
-  std::vector<std::uint8_t> inc_fault_;        // node -> currently faulty?
-  std::vector<std::uint32_t> inc_route_kill_;  // route -> #faults on it
-  std::vector<std::uint32_t> inc_pair_live_;   // pair -> #live routes
-  std::vector<std::vector<IncArc>> inc_adj_;   // src -> live arcs
-  std::vector<std::uint32_t> inc_slot_;        // pair -> index in src list
-  mutable std::vector<std::uint8_t> inc_emitted_;  // materialization scratch
-  std::uint32_t inc_survivors_ = 0;
-  std::uint32_t inc_arcs_ = 0;
 };
 
 /// Single-threaded batching facade: one shared, immutable SrgIndex plus one

@@ -9,8 +9,8 @@
 // becomes a LaneBlock<W>, and every phase — route kill masks, pair dead
 // masks, the lane-parallel BFS — runs the same statements over W-word
 // blocks. Lanes are still consumed in rank order, so results, per-lane
-// evaluation counts, and early-stop behavior are bit-identical to the
-// scalar oracle at every width.
+// evaluation counts, and early-stop behavior are bit-identical to per-set
+// evaluation at every width.
 //
 // The caller (SrgScratch) owns phase (a) — walking the revolving-door
 // enumerator into lane_node_mask / lane_touched — because that phase
@@ -84,7 +84,7 @@ void run_block(const PackedCtx& ctx, std::size_t count,
   // (d) Lane-parallel BFS: one LaneBlock of lanes per node. A lane
   // drops out of `active` once some source fails to reach every
   // survivor in it (its diameter is then kUnreachable, matching the
-  // scalar early return).
+  // single-set early return).
   if (survivors >= 2) {
     Block disconnected = Block::zero();
     std::uint32_t* frontier = ctx.frontier;

@@ -82,10 +82,9 @@ namespace {
 // One shared preprocessing, one scratch per worker chunk: the canonical
 // parallel-sweep evaluator.
 FaultEvaluatorFactory engine_evaluator_factory(
-    const std::shared_ptr<const SrgIndex>& index, SrgKernel kernel) {
-  return [index, kernel]() {
+    const std::shared_ptr<const SrgIndex>& index) {
+  return [index]() {
     auto scratch = std::make_shared<SrgScratch>(*index);
-    scratch->set_kernel(kernel);
     return [index, scratch](const std::vector<Node>& faults) {
       return scratch->surviving_diameter(faults);
     };
@@ -93,8 +92,8 @@ FaultEvaluatorFactory engine_evaluator_factory(
 }
 
 // Exhaustive verification of small fault budgets goes through the
-// revolving-door fast path: Gray-order enumeration with O(delta)
-// strike/unstrike per set against the shared index. Beyond f = 3 the
+// revolving-door fast path: Gray-order enumeration, each set one element
+// away from the last, against the shared index. Beyond f = 3 the
 // one-element deltas no longer dominate the per-set cost, so the generic
 // chunked lexicographic scan keeps that territory.
 constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
@@ -123,7 +122,7 @@ ToleranceReport check_tolerance_index(const std::shared_ptr<const SrgIndex>& ind
     return report;
   }
   return check_tolerance_with(n,
-                              engine_evaluator_factory(index, options.exec.kernel),
+                              engine_evaluator_factory(index),
                               f, claimed_bound, seed, options);
 }
 

@@ -8,8 +8,8 @@
 // (one SrgScratch per worker over one shared SrgIndex); the report —
 // verdict, witness, evaluation count — is bit-identical for any thread
 // count. Exhaustive checks at f <= 3 take the revolving-door fast path
-// (Gray-order enumeration, O(delta) strike/unstrike per set), so the
-// reported witness is the first worst set in gray order.
+// (Gray-order enumeration, one-element deltas per set), so the reported
+// witness is the first worst set in gray order.
 #pragma once
 
 #include <cstdint>

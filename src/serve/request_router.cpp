@@ -242,7 +242,6 @@ std::string execute_request(const ServeRequest& request,
       opts.exec.threads = 1;
       opts.exec.kernel = policy.kernel;
       opts.exec.lanes = policy.lanes;
-      opts.exec.executor = policy.executor;
       // Pre-seed the hill-climber from the entry's cached route-load
       // ranking — the same top-f set check_tolerance would otherwise
       // re-rank the whole table to derive, once per request.
@@ -276,7 +275,6 @@ std::string execute_request(const ServeRequest& request,
       opts.exec.threads = 1;
       opts.exec.kernel = policy.kernel;
       opts.exec.lanes = policy.lanes;
-      opts.exec.executor = policy.executor;
       opts.seed = request.seed;
       opts.delivery_pairs = request.pairs;
       FaultSweepSummary summary;
@@ -316,7 +314,6 @@ std::string execute_request(const ServeRequest& request,
       if (!scratch.has_value() || &scratch->index() != table.index.get()) {
         scratch.emplace(*table.index);
       }
-      scratch->set_kernel(policy.kernel);
       const auto res = scratch->evaluate(request.fault_list);
       Rng rng(request.seed);
       const auto delivery = measure_delivery_on(
@@ -460,7 +457,7 @@ ServeSummary serve_requests(TableRegistry& registry, RequestSource& source,
 
     ExecutorStats window_stats;
     parallel_for_chunks(
-        options.exec.executor, order.size(), workers, batch_size,
+        order.size(), workers, batch_size,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           // The worker's scratch slot; execute_request fills it lazily on

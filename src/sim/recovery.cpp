@@ -61,7 +61,7 @@ std::vector<ComponentwiseDiameter> componentwise_sweep(
   const unsigned threads = policy.resolved_threads();
   std::vector<ComponentwiseDiameter> out(fault_sets.size());
   parallel_for_chunks(
-      policy.executor, fault_sets.size(), threads,
+      fault_sets.size(), threads,
       sweep_grain(fault_sets.size(), threads),
       [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         (void)chunk;
@@ -69,7 +69,6 @@ std::vector<ComponentwiseDiameter> componentwise_sweep(
         // chunk's fault sets, and results land at their own indices, so the
         // merge is the identity whatever the thread count.
         SrgScratch scratch(index);
-        scratch.set_kernel(policy.kernel);
         for (std::size_t i = begin; i < end; ++i) {
           out[i] = componentwise_surviving_diameter(g, scratch, fault_sets[i]);
         }

@@ -87,7 +87,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   u.exec.kernel = SrgKernel::kBitset;
   u.exec.threads = 2;
   u.exec.lanes = 128;
-  u.exec.executor = ExecutorKind::kCursor;
   u.sets = {{1, 2, 3}, {4, 5}};
   u.climb_seeds = {{9, 8, 7}};
   const UnitSpec d = decode_unit(encode_unit(u));
@@ -104,7 +103,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.exec.kernel, u.exec.kernel);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
   EXPECT_EQ(d.exec.lanes, u.exec.lanes);
-  EXPECT_EQ(d.exec.executor, u.exec.executor);
   EXPECT_EQ(d.sets, u.sets);
   EXPECT_EQ(d.climb_seeds, u.climb_seeds);
 

@@ -56,24 +56,14 @@ constexpr const char* kEnv = "FTROUTE_FORCE_LANE_WIDTH";
 // ---- name/parse round-trips -------------------------------------------------
 
 TEST(ExecPolicy, KernelNamesRoundTrip) {
-  for (SrgKernel k : {SrgKernel::kAuto, SrgKernel::kScalar, SrgKernel::kBitset,
-                      SrgKernel::kPacked}) {
+  for (SrgKernel k : {SrgKernel::kAuto, SrgKernel::kBitset, SrgKernel::kPacked}) {
     const auto parsed = parse_srg_kernel(srg_kernel_name(k));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, k);
   }
   EXPECT_FALSE(parse_srg_kernel("vector").has_value());
+  EXPECT_FALSE(parse_srg_kernel("scalar").has_value());  // removed kernel
   EXPECT_FALSE(parse_srg_kernel("").has_value());
-}
-
-TEST(ExecPolicy, ExecutorNamesRoundTrip) {
-  for (ExecutorKind e : {ExecutorKind::kWorkStealing, ExecutorKind::kCursor}) {
-    const auto parsed = parse_executor_kind(executor_kind_name(e));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, e);
-  }
-  EXPECT_FALSE(parse_executor_kind("greedy").has_value());
-  EXPECT_FALSE(parse_executor_kind("").has_value());
 }
 
 // ---- flag registry ----------------------------------------------------------
@@ -92,9 +82,8 @@ TEST(ExecPolicy, RegistryCoversEveryBitExactlyOnce) {
 
 TEST(ExecPolicy, ParseFlagsFillEveryField) {
   const std::vector<std::string> args = {
-      "--threads", "4",  "--kernel",         "packed", "--lanes", "256",
-      "--batch",   "9",  "--executor",       "cursor", "--progress-every",
-      "5"};
+      "--threads", "4", "--kernel",         "packed", "--lanes", "256",
+      "--batch",   "9", "--progress-every", "5"};
   ExecPolicy p;
   for (std::size_t i = 0; i < args.size();) {
     const ExecFlagParse r = parse_exec_flag(kExecFlagsAll, args, i, p);
@@ -105,7 +94,6 @@ TEST(ExecPolicy, ParseFlagsFillEveryField) {
   EXPECT_EQ(p.kernel, SrgKernel::kPacked);
   EXPECT_EQ(p.lanes, 256u);
   EXPECT_EQ(p.batch_size, 9u);
-  EXPECT_EQ(p.executor, ExecutorKind::kCursor);
   EXPECT_EQ(p.progress_every, 5u);
 }
 
@@ -133,8 +121,8 @@ TEST(ExecPolicy, ParseFlagRejectsMissingAndBadValues) {
   const std::vector<std::string> bad_lanes = {"--lanes", "96"};
   EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_lanes, 0, p),
                std::runtime_error);
-  const std::vector<std::string> bad_exec = {"--executor", "greedy"};
-  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, bad_exec, 0, p),
+  const std::vector<std::string> scalar = {"--kernel", "scalar"};
+  EXPECT_THROW(parse_exec_flag(kExecFlagsAll, scalar, 0, p),
                std::runtime_error);
   const std::vector<std::string> huge = {"--threads", "4294967296"};
   EXPECT_THROW(parse_exec_flag(kExecFlagsAll, huge, 0, p), std::runtime_error);
@@ -149,7 +137,8 @@ TEST(ExecPolicy, UsageMentionsExactlyTheMaskedFlags) {
   EXPECT_NE(some.find("--threads"), std::string::npos);
   EXPECT_NE(some.find("--lanes"), std::string::npos);
   EXPECT_EQ(some.find("--batch"), std::string::npos);
-  EXPECT_EQ(some.find("--executor"), std::string::npos);
+  EXPECT_EQ(all.find("executor"), std::string::npos);  // removed flag
+  EXPECT_EQ(all.find("scalar"), std::string::npos);
 }
 
 // ---- resolution -------------------------------------------------------------
@@ -168,13 +157,11 @@ TEST(ExecPolicy, ResolvedThreadsIsTheOneClamp) {
 
 TEST(ExecPolicy, ResolvedKernelAppliesTheAutoRule) {
   ExecPolicy p;
-  // Explicit scalar/bitset pass through in every context.
-  for (SrgKernel k : {SrgKernel::kScalar, SrgKernel::kBitset}) {
-    p.kernel = k;
-    EXPECT_EQ(p.resolved_kernel(true), k);
-    EXPECT_EQ(p.resolved_kernel(false), k);
-    EXPECT_EQ(p.resolved_kernel(true, true), k);
-  }
+  // Explicit bitset passes through in every context.
+  p.kernel = SrgKernel::kBitset;
+  EXPECT_EQ(p.resolved_kernel(true), SrgKernel::kBitset);
+  EXPECT_EQ(p.resolved_kernel(false), SrgKernel::kBitset);
+  EXPECT_EQ(p.resolved_kernel(true, true), SrgKernel::kBitset);
   // kAuto and kPacked: packed iff Gray-adjacent and no per-set graphs.
   for (SrgKernel k : {SrgKernel::kAuto, SrgKernel::kPacked}) {
     p.kernel = k;
@@ -223,7 +210,6 @@ TEST(ExecPolicyWire, RoundTripsEveryField) {
   p.kernel = SrgKernel::kPacked;
   p.lanes = 512;
   p.batch_size = 12345;
-  p.executor = ExecutorKind::kCursor;
   p.progress_every = 99;
   std::vector<unsigned char> buf;
   encode_exec_policy(p, buf);
@@ -234,7 +220,6 @@ TEST(ExecPolicyWire, RoundTripsEveryField) {
   EXPECT_EQ(d.kernel, p.kernel);
   EXPECT_EQ(d.lanes, p.lanes);
   EXPECT_EQ(d.batch_size, p.batch_size);
-  EXPECT_EQ(d.executor, p.executor);
   EXPECT_EQ(d.progress_every, p.progress_every);
 }
 
@@ -262,20 +247,40 @@ TEST(ExecPolicyWire, EveryTruncationThrows) {
 TEST(ExecPolicyWire, FutureVersionThrows) {
   std::vector<unsigned char> buf;
   encode_exec_policy(ExecPolicy{}, buf);
-  buf[0] = 2;  // LE version word -> version 2
+  EXPECT_EQ(buf[0], 2);  // LE version word: the current encoding is v2
+  buf[0] = 3;
   std::size_t pos = 0;
   EXPECT_THROW((void)decode_exec_policy(buf.data(), buf.size(), pos),
                ContractViolation);
+}
+
+// A v1 blob — the encoding that still carried the executor byte — is
+// refused by version, with a message that names it.
+TEST(ExecPolicyWire, VersionOneIsRefusedByName) {
+  // u32 version=1 | u32 threads=1 | u8 kernel=0 | u32 lanes=0 | u64 batch=1024
+  // | u8 executor=1 | u64 progress=0.
+  std::vector<unsigned char> v1 = {1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0};
+  const unsigned char batch[8] = {0x00, 0x04, 0, 0, 0, 0, 0, 0};
+  v1.insert(v1.end(), std::begin(batch), std::end(batch));
+  v1.push_back(1);
+  v1.insert(v1.end(), 8, 0);
+  std::size_t pos = 0;
+  try {
+    (void)decode_exec_policy(v1.data(), v1.size(), pos);
+    ADD_FAILURE() << "v1 blob decoded";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ExecPolicyWire, OutOfRangeEnumBytesThrow) {
   std::vector<unsigned char> buf;
   encode_exec_policy(ExecPolicy{}, buf);
   // Layout: u32 version | u32 threads | u8 kernel | u32 lanes | u64 batch |
-  // u8 executor | u64 progress.
+  // u64 progress.
   const std::size_t kernel_at = 8;
   const std::size_t lanes_at = 9;
-  const std::size_t executor_at = 21;
   auto corrupt = [&](std::size_t at, unsigned char v) {
     std::vector<unsigned char> c = buf;
     c[at] = v;
@@ -284,9 +289,9 @@ TEST(ExecPolicyWire, OutOfRangeEnumBytesThrow) {
                  ContractViolation)
         << "byte " << at;
   };
-  corrupt(kernel_at, 200);   // kernel byte past kPacked
+  corrupt(kernel_at, 200);   // kernel byte far past kPacked
+  corrupt(kernel_at, 3);     // the first byte past kPacked
   corrupt(lanes_at, 3);      // lanes = 3: not 0/64/128/256/512
-  corrupt(executor_at, 9);   // executor byte past kWorkStealing
 }
 
 // ---- adoption differential --------------------------------------------------
@@ -300,7 +305,6 @@ TEST(ExecPolicyAdoption, DefaultsMatchPreRefactorValues) {
   EXPECT_EQ(def.kernel, SrgKernel::kAuto);
   EXPECT_EQ(def.lanes, 0u);
   EXPECT_EQ(def.batch_size, 1024u);
-  EXPECT_EQ(def.executor, ExecutorKind::kWorkStealing);
   EXPECT_EQ(def.progress_every, 0u);
 
   const FaultSweepOptions sweep;

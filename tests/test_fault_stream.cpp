@@ -4,11 +4,10 @@
 //
 //  * streaming a source == materializing the same sets and batch-sweeping
 //    them, for any thread count and any batch size;
-//  * sweep_exhaustive_gray (incremental strike/unstrike evaluation) is
-//    bit-identical — histograms, verdicts, worst witness, delivery — to
-//    pushing an ExhaustiveGraySource through the generic full-rebuild
-//    engine, on kernel / circular / tri-circular tables, threads {1, 2, 8},
-//    f in {1, 2, 3};
+//  * sweep_exhaustive_gray (the Gray fast path) is bit-identical —
+//    histograms, verdicts, worst witness, delivery — to pushing an
+//    ExhaustiveGraySource through the generic streaming engine, on kernel /
+//    circular / tri-circular tables, threads {1, 2, 8}, f in {1, 2, 3};
 //  * the line-delimited istream feed reproduces the materialized sweep.
 #include "analysis/fault_sweep.hpp"
 
@@ -289,13 +288,13 @@ TEST(FaultStream, ProgressFiresBetweenBatches) {
   EXPECT_EQ(reported.back(), 64u);  // the final batch reports completion
 }
 
-// --- the Gray fast path vs the full-rebuild path -----------------------------
+// --- the Gray fast path vs the streaming path ---------------------------------
 
-// THE acceptance differential: the incremental revolving-door sweep and the
+// THE acceptance differential: the revolving-door fast path and the
 // generic engine fed the same enumeration must agree bit for bit on every
 // aggregate, across the three construction families, f in {1, 2, 3}, and
 // threads {1, 2, 8}.
-TEST(FaultStream, GrayIncrementalSweepBitIdenticalToFullRebuild) {
+TEST(FaultStream, GrayFastPathBitIdenticalToStreamedSource) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
     const std::size_t n = entry.g.num_nodes();

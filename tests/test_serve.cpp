@@ -330,6 +330,45 @@ TEST(Serve, ErrorResponsesAreDeterministicAndCounted) {
   }
 }
 
+// A worker's scratch carries its fault-set state from one delivery request
+// to the next on the same table. A rejected request in between must not
+// leave a trace: the valid request after it answers byte for byte as it
+// would on a fresh server.
+TEST(Serve, RejectedDeliveryLeavesWorkerScratchClean) {
+  const std::string valid = "delivery ker faults=3,7,19 pairs=5 seed=11";
+  std::vector<ServeRequest> stream;
+  stream.push_back(parse_request_line("delivery ker faults=0,12 pairs=6 seed=2", 1));
+  stream.push_back(parse_request_line("delivery ker faults=4,999 pairs=2 seed=3", 2));
+  stream.push_back(parse_request_line(valid, 3));
+  const std::vector<ServeRequest> alone = {parse_request_line(valid, 1)};
+
+  const auto response_of = [](const std::string& text, const std::string& id) {
+    const auto at = text.find(id + " delivery");
+    EXPECT_NE(at, std::string::npos) << text;
+    if (at == std::string::npos) return std::string();
+    const auto body = at + id.size();
+    return text.substr(body, text.find('\n', body) - body);
+  };
+  std::string fresh;
+  {
+    TableRegistry registry;
+    define_construction_tables(registry);
+    fresh = response_of(serve_to_string(registry, alone, ServeOptions{}), "#0");
+  }
+  ASSERT_FALSE(fresh.empty());
+  for (const unsigned threads : kThreadCounts) {
+    TableRegistry registry;
+    define_construction_tables(registry);
+    ServeOptions opts;
+    opts.exec.threads = threads;
+    ServeSummary summary;
+    const auto text = serve_to_string(registry, stream, opts, &summary);
+    EXPECT_EQ(summary.errors, 1u);
+    EXPECT_NE(text.find("#1 delivery ker error:"), std::string::npos) << text;
+    EXPECT_EQ(response_of(text, "#2"), fresh) << "threads=" << threads;
+  }
+}
+
 TEST(Serve, CertifyUsesPlannerClaims) {
   // A planner-built entry carries its (d, f) claims; certify without
   // explicit bounds must verify exactly those.

@@ -80,7 +80,7 @@ TEST(SrgEngine, MatchesOneShotOnMultirouting) {
 }
 
 TEST(SrgEngine, ScratchReuseIsOrderIndependent) {
-  // Alternate between heavy and light fault sets; stale stamps from one
+  // Alternate between heavy and light fault sets; state from one
   // evaluation must never leak into the next.
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 3);
@@ -165,57 +165,12 @@ TEST(SrgEngine, SharedIndexServesManyScratches) {
   Rng rng(17);
   const auto sets = random_fault_sets(25, 3, 12, rng);
   for (std::size_t i = 0; i < sets.size(); ++i) {
-    // Interleave the scratches; epochs are per-scratch, so neither may
-    // perturb the other.
+    // Interleave the scratches; fault-set state is per-scratch, so neither
+    // may perturb the other.
     SrgScratch& scratch = (i % 2 == 0) ? a : b;
     EXPECT_EQ(scratch.surviving_diameter(sets[i]),
               surviving_diameter(kr.table, sets[i]))
         << "set " << i;
-  }
-}
-
-TEST(SrgEngine, EpochWraparound) {
-  // Force both epoch counters across the 2^32 wrap and check the scratch
-  // keeps matching the one-shot path on every side of it. The torus kernel
-  // evaluation runs ~25 BFS epochs per fault set, so a handful of sets
-  // crosses the bfs wrap mid-evaluation too. Both stamped kernels are
-  // pinned explicitly: scalar exercises the bfs_epoch_ wrap, bitset the
-  // fault/route/pair stamp wrap (its BFS is stamp-free).
-  const auto gg = torus_graph(4, 4);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  SurvivingRouteGraphEngine engine(kr.table);
-  Rng rng(3);
-  const auto sets = random_fault_sets(16, 3, 10, rng);
-
-  for (const SrgKernel kernel : {SrgKernel::kScalar, SrgKernel::kBitset}) {
-    engine.scratch().set_epochs_for_testing(~std::uint32_t{0} - 3);
-    engine.scratch().set_kernel(kernel);
-    for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
-                surviving_diameter(kr.table, faults))
-          << srg_kernel_name(kernel);
-    }
-
-    // An explicit reset must be behavior-preserving as well.
-    engine.scratch().reset();
-    for (const auto& faults : sets) {
-      EXPECT_EQ(engine.surviving_diameter(faults),
-                surviving_diameter(kr.table, faults))
-          << srg_kernel_name(kernel);
-    }
-  }
-}
-
-TEST(SrgEngine, EpochWraparoundOnSurvivingGraph) {
-  const auto gg = cycle_graph(8);
-  RoutingTable t(8, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
-  SurvivingRouteGraphEngine engine(t);
-  engine.scratch().set_epochs_for_testing(~std::uint32_t{0} - 1);
-  const std::vector<Node> faults{2, 5};
-  for (int round = 0; round < 4; ++round) {  // crosses the wrap mid-loop
-    expect_same_digraph(engine.surviving_graph(faults),
-                        surviving_graph(t, faults));
   }
 }
 
@@ -232,167 +187,137 @@ TEST(SrgEngine, CircularRoutingSweepAgainstOneShot) {
   }
 }
 
-// --- incremental (Gray) mode -------------------------------------------------
+// --- the delta state ---------------------------------------------------------
 
-void expect_same_result(const SrgScratch::Result& a,
-                        const SrgScratch::Result& b) {
-  EXPECT_EQ(a.diameter, b.diameter);
-  EXPECT_EQ(a.survivors, b.survivors);
-  EXPECT_EQ(a.arcs, b.arcs);
+// Number of distinct ids in `faults` — the one-shot oracle's survivor count
+// is n minus this.
+std::uint32_t distinct_count(std::vector<Node> faults) {
+  std::sort(faults.begin(), faults.end());
+  return static_cast<std::uint32_t>(
+      std::unique(faults.begin(), faults.end()) - faults.begin());
 }
 
-// Differential test of the delta path: a random walk of strike/unstrike
-// operations, where after EVERY delta the incremental evaluation must match
-// a full-rebuild evaluate() of the same fault set on an independent
-// scratch, and the materialized digraphs must be identical arc-for-arc
-// (same canonical order).
-TEST(SrgEngine, IncrementalMatchesFullRebuildOnRandomWalk) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-  const std::size_t n = gg.graph.num_nodes();
-
-  Rng rng(9001);
-  std::vector<Node> current{1, 7};
-  inc.begin_incremental(current);
-  for (int step = 0; step < 300; ++step) {
-    // Strike when small, unstrike when large, coin-flip in between.
-    const bool do_strike =
-        current.empty() ||
-        (current.size() < 6 && rng.chance(0.5));
-    if (do_strike) {
-      Node v = static_cast<Node>(rng.below(n));
-      while (std::find(current.begin(), current.end(), v) != current.end()) {
-        v = static_cast<Node>(rng.below(n));
-      }
-      inc.strike(v);
-      current.push_back(v);
-    } else {
-      const std::size_t i = rng.below(current.size());
-      inc.unstrike(current[i]);
-      current.erase(current.begin() + static_cast<std::ptrdiff_t>(i));
-    }
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(current));
-    EXPECT_EQ(inc.incremental_survivors(),
-              static_cast<std::uint32_t>(n - current.size()));
-    if (step % 25 == 0) {
-      expect_same_digraph(inc.incremental_surviving_graph(),
-                          rebuild.surviving_graph(current));
-    }
-  }
+// One evaluation on the reused scratch against the one-shot oracle: the
+// Result fields, then the materialized graph arc for arc.
+template <typename Table>
+void expect_matches_oracle(SrgScratch& scratch, const Table& table,
+                           const std::vector<Node>& faults) {
+  const auto res = scratch.evaluate(faults);
+  const Digraph oracle = surviving_graph(table, faults);
+  EXPECT_EQ(res.diameter, surviving_diameter(table, faults));
+  EXPECT_EQ(res.survivors, table.num_nodes() - distinct_count(faults));
+  EXPECT_EQ(res.arcs, oracle.num_arcs());
+  expect_same_digraph(scratch.last_surviving_graph(), oracle);
 }
 
-TEST(SrgEngine, IncrementalMatchesRebuildOnMultirouting) {
-  const auto gg = torus_graph(5, 5);
-  const MultiRouteTable mr = build_full_multirouting(gg.graph, 2);
-  const SrgIndex index(mr);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  Rng rng(77);
-  for (int round = 0; round < 10; ++round) {
-    const auto sample = rng.sample(gg.graph.num_nodes(), 3);
-    std::vector<Node> faults(sample.begin(), sample.end());
-    inc.begin_incremental(faults);
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    expect_same_digraph(inc.incremental_surviving_graph(),
-                        rebuild.surviving_graph(faults));
-  }
-}
-
-// Walking the whole revolving-door enumeration with one strike/unstrike per
-// step — exactly what the exhaustive gray sweep does per worker chunk.
-TEST(SrgEngine, IncrementalGrayWalkMatchesRebuild) {
+// One long walk on a single scratch, so every evaluation is a delta from
+// whatever came before: Gray-adjacent steps (one element out, one in),
+// random sets of every size from 0 to n - 1, sets with duplicate ids, and
+// rejected sets, which must leave the state untouched.
+TEST(SrgEngine, LongDeltaWalkMatchesOneShot) {
   const auto gg = torus_graph(4, 4);
-  const auto kr = build_kernel_routing(gg.graph, 2);
-  const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  GraySubsetEnumerator e(gg.graph.num_nodes(), 2);
-  std::vector<Node> faults(e.current().begin(), e.current().end());
-  inc.begin_incremental(faults);
-  while (true) {
-    faults.assign(e.current().begin(), e.current().end());
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    if (!e.advance()) break;
-    inc.unstrike(static_cast<Node>(e.last_transition().out));
-    inc.strike(static_cast<Node>(e.last_transition().in));
-  }
-}
-
-// The two modes own disjoint state: interleaving full evaluate() calls on
-// the SAME scratch must not perturb the incremental walk, and vice versa.
-TEST(SrgEngine, IncrementalSurvivesInterleavedFullEvaluations) {
-  const auto gg = torus_graph(5, 5);
   const auto kr = build_kernel_routing(gg.graph, 3);
   const SrgIndex index(kr.table);
   SrgScratch scratch(index);
-  SrgScratch reference(index);
+  const std::size_t n = gg.graph.num_nodes();
+  Rng rng(9001);
 
-  Rng rng(5150);
-  const std::vector<Node> inc_set{2, 11, 19};
-  scratch.begin_incremental(inc_set);
-  const auto inc_expected = reference.evaluate(inc_set);
-  for (int i = 0; i < 20; ++i) {
-    const auto sample = rng.sample(gg.graph.num_nodes(), 4);
-    const std::vector<Node> other(sample.begin(), sample.end());
-    // Full-rebuild evaluation in between...
-    expect_same_result(scratch.evaluate(other), reference.evaluate(other));
-    // ...leaves the incremental fault set's answers untouched.
-    expect_same_result(scratch.evaluate_incremental(), inc_expected);
+  for (int round = 0; round < 3; ++round) {
+    // A stretch of Gray-adjacent sets from a random rank.
+    const std::size_t f = 1 + rng.below(4);
+    GraySubsetEnumerator e(n, f, rng.below(binomial(n, f)));
+    for (int step = 0; step < 25 && e.valid(); ++step, e.advance()) {
+      const std::vector<Node> faults(e.current().begin(), e.current().end());
+      SCOPED_TRACE("gray f=" + std::to_string(f) + " step " +
+                   std::to_string(step));
+      expect_matches_oracle(scratch, kr.table, faults);
+    }
+    // Random sets of every size, each a large jump from the last.
+    for (std::size_t k = 0; k < n; ++k) {
+      const auto sample = rng.sample(n, k);
+      std::vector<Node> faults(sample.begin(), sample.end());
+      SCOPED_TRACE("random f=" + std::to_string(k));
+      expect_matches_oracle(scratch, kr.table, faults);
+    }
+    // Duplicates, including a set that repeats one id only.
+    for (const std::vector<Node>& faults :
+         {std::vector<Node>{3, 3, 9, 3}, std::vector<Node>{7, 7},
+          std::vector<Node>{0, 15, 0, 15, 8}}) {
+      expect_matches_oracle(scratch, kr.table, faults);
+    }
+    // A rejected set: the previous set must still be in place, and the
+    // next valid set must still match the oracle.
+    const std::vector<Node> before{1, 2, 11};
+    expect_matches_oracle(scratch, kr.table, before);
+    EXPECT_THROW(scratch.evaluate(std::vector<Node>{4, 5, 16}),
+                 ContractViolation);
+    expect_same_digraph(scratch.last_surviving_graph(),
+                        surviving_graph(kr.table, before));
+    expect_matches_oracle(scratch, kr.table, std::vector<Node>{4, 5});
   }
 }
 
-// Regression: bfs_from_inc has its own bfs_epoch_ wraparound reset, but
-// only the rebuild path's wrap used to be tested. Plant the counters just
-// below the 2^32 wrap BEFORE entering incremental mode (the test hook
-// resets the scratch, which leaves incremental mode), pin the scalar
-// kernel so the stamped incremental BFS actually runs (the default would
-// route to the stamp-free bitset BFS), and walk a Gray enumeration whose
-// first evaluation already crosses the wrap mid-set. The rebuild oracle
-// scratch rides its default kernel, so this doubles as a scalar-vs-bitset
-// differential across the wrap.
-TEST(SrgEngine, IncrementalEpochWraparound) {
+// Multiroute tables: a pair's arc dies only with its LAST live route, so
+// the per-pair live counts see several routes per pair.
+TEST(SrgEngine, DeltaWalkMatchesOneShotOnMultirouting) {
+  const auto gg = torus_graph(5, 5);
+  const MultiRouteTable mr = build_full_multirouting(gg.graph, 2);
+  const SrgIndex index(mr);
+  SrgScratch scratch(index);
+  Rng rng(77);
+  for (int round = 0; round < 12; ++round) {
+    const auto sample = rng.sample(gg.graph.num_nodes(), 1 + rng.below(5));
+    const std::vector<Node> faults(sample.begin(), sample.end());
+    expect_matches_oracle(scratch, mr, faults);
+  }
+}
+
+// Walking the whole revolving-door enumeration on one scratch — exactly
+// what the exhaustive bitset sweep does per worker chunk.
+TEST(SrgEngine, GrayWalkMatchesOneShot) {
   const auto gg = torus_graph(4, 4);
   const auto kr = build_kernel_routing(gg.graph, 2);
   const SrgIndex index(kr.table);
-  SrgScratch inc(index);
-  SrgScratch rebuild(index);
-
-  inc.set_epochs_for_testing(~std::uint32_t{0} - 3);
-  inc.set_kernel(SrgKernel::kScalar);
-
+  SrgScratch scratch(index);
   GraySubsetEnumerator e(gg.graph.num_nodes(), 2);
-  std::vector<Node> faults(e.current().begin(), e.current().end());
-  inc.begin_incremental(faults);
-  for (int step = 0; step < 40; ++step) {
-    faults.assign(e.current().begin(), e.current().end());
-    expect_same_result(inc.evaluate_incremental(), rebuild.evaluate(faults));
-    ASSERT_TRUE(e.advance());
-    inc.unstrike(static_cast<Node>(e.last_transition().out));
-    inc.strike(static_cast<Node>(e.last_transition().in));
-  }
+  do {
+    const std::vector<Node> faults(e.current().begin(), e.current().end());
+    const auto res = scratch.evaluate(faults);
+    EXPECT_EQ(res.diameter, surviving_diameter(kr.table, faults));
+    EXPECT_EQ(res.arcs, surviving_graph(kr.table, faults).num_arcs());
+  } while (e.advance());
 }
 
-TEST(SrgEngine, IncrementalContractViolations) {
+// The out-of-range id sits AFTER valid ones: evaluate() must check every id
+// before it strikes any, so the scratch stays usable.
+TEST(SrgEngine, RejectedSetLeavesScratchUsable) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  const std::uint32_t n = kr.table.num_nodes();
+
+  SrgScratch fresh(index);  // rejected before the state is ever seeded
+  EXPECT_THROW(fresh.evaluate(std::vector<Node>{0, n}), ContractViolation);
+  expect_matches_oracle(fresh, kr.table, std::vector<Node>{6, 12});
+
+  SrgScratch used(index);
+  expect_matches_oracle(used, kr.table, std::vector<Node>{2, 3, 4});
+  EXPECT_THROW(used.evaluate(std::vector<Node>{0, n}), ContractViolation);
+  EXPECT_THROW(used.componentwise_diameter(
+                   std::vector<Node>{1, n + 5},
+                   std::vector<std::uint32_t>(n, 0)),
+               ContractViolation);
+  expect_matches_oracle(used, kr.table, std::vector<Node>{0, 24});
+  expect_matches_oracle(used, kr.table, std::vector<Node>{});
+}
+
+TEST(SrgEngine, LastSurvivingGraphNeedsAnEvaluation) {
   const auto gg = cycle_graph(8);
   RoutingTable t(8, RoutingMode::kBidirectional);
   install_edge_routes(t, gg.graph);
   const SrgIndex index(t);
   SrgScratch scratch(index);
-  EXPECT_THROW(scratch.strike(1), ContractViolation);       // no begin
-  EXPECT_THROW(scratch.evaluate_incremental(), ContractViolation);
-  scratch.begin_incremental(std::vector<Node>{3});
-  EXPECT_THROW(scratch.strike(3), ContractViolation);       // already faulty
-  EXPECT_THROW(scratch.unstrike(5), ContractViolation);     // not faulty
-  EXPECT_THROW(scratch.strike(99), ContractViolation);      // out of range
-  // reset() leaves incremental mode.
-  scratch.reset();
-  EXPECT_FALSE(scratch.incremental_active());
-  EXPECT_THROW(scratch.strike(1), ContractViolation);
+  EXPECT_THROW(scratch.last_surviving_graph(), ContractViolation);
 }
 
 }  // namespace

@@ -4,9 +4,8 @@
 # --threads 1 and --threads 4 for every verb that fans out work, across
 # every --kernel choice and every packed --lanes width on the exhaustive
 # sweep, and across --workers process counts on the distributed
-# sweep/check, and across --executor steal|cursor on every evaluating
-# verb. This is the
-# executable form of the repo's determinism contract — if a thread count
+# sweep/check. This is the executable form of the repo's determinism
+# contract — if a thread count
 # or kernel choice ever leaks into stdout, this script (and the CI job
 # running it) fails on the cmp.
 #
@@ -70,9 +69,10 @@ cmp "${WORK}/sweep.1.out" "${WORK}/sweep.4.out"
 cmp "${WORK}/serve.1.out" "${WORK}/serve.4.out"
 
 # Evaluation kernels: the exhaustive sweep and the check must print the
-# same bytes whichever kernel evaluates them (scalar is the oracle).
+# same bytes whichever kernel evaluates them (the goldens below pin the
+# answer itself).
 echo "== comparing stdout across --kernel choices"
-for k in auto scalar bitset packed; do
+for k in auto bitset packed; do
   "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
     --faults 2 --exhaustive --threads 2 --kernel "${k}" \
     > "${WORK}/xsweep.${k}.out" 2> /dev/null
@@ -80,7 +80,7 @@ for k in auto scalar bitset packed; do
     --faults 2 --claimed 6 --seed 7 --kernel "${k}" \
     > "${WORK}/xcheck.${k}.out" 2> /dev/null
 done
-for k in scalar bitset packed; do
+for k in bitset packed; do
   cmp "${WORK}/xsweep.auto.out" "${WORK}/xsweep.${k}.out"
   cmp "${WORK}/xcheck.auto.out" "${WORK}/xcheck.${k}.out"
 done
@@ -194,37 +194,6 @@ cmp "${GOLD}/sweep_exhaustive.golden" "${WORK}/xsweep.auto.out"
 cmp "${GOLD}/sweep_exhaustive_delivery.golden" "${WORK}/dsweep.0.out"
 cmp "${GOLD}/stretch.golden" "${WORK}/stretch.out"
 
-# The chunk scheduler (--executor steal|cursor) is pure scheduling: every
-# evaluating verb must print the same bytes under either, including
-# through forked dist workers (the policy rides the UnitSpec wire blob).
-echo "== comparing stdout across --executor kinds"
-for e in steal cursor; do
-  "${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-    --stdin --threads 4 --batch 3 --executor "${e}" < "${WORK}/faults.txt" \
-    > "${WORK}/esweep.${e}.out" 2> /dev/null
-  "${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-    --faults 2 --claimed 6 --seed 7 --threads 4 --executor "${e}" \
-    > "${WORK}/echeck.${e}.out" 2> /dev/null
-  "${CLI}" serve --tables "${WORK}/tables.txt" --stdin \
-    --threads 4 --batch 2 --executor "${e}" < "${WORK}/requests.txt" \
-    > "${WORK}/eserve.${e}.out" 2> /dev/null
-done
-cmp "${WORK}/sweep.1.out" "${WORK}/esweep.steal.out"
-cmp "${WORK}/sweep.1.out" "${WORK}/esweep.cursor.out"
-cmp "${WORK}/check.1.out" "${WORK}/echeck.steal.out"
-cmp "${WORK}/check.1.out" "${WORK}/echeck.cursor.out"
-cmp "${WORK}/serve.1.out" "${WORK}/eserve.steal.out"
-cmp "${WORK}/serve.1.out" "${WORK}/eserve.cursor.out"
-"${CLI}" sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-  --faults 2 --exhaustive --delivery-pairs 3 --seed 7 \
-  --workers 2 --executor cursor \
-  > "${WORK}/edsweep.out" 2> /dev/null
-cmp "${WORK}/dsweep.0.out" "${WORK}/edsweep.out"
-"${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
-  --faults 2 --claimed 6 --seed 7 --workers 2 --executor cursor \
-  > "${WORK}/edcheck.out" 2> /dev/null
-cmp "${WORK}/check.1.out" "${WORK}/edcheck.out"
-
 # Per-verb --help: exit 0 and list every flag the verb's parser accepts
 # (usage is generated from the same registry the parser consults, so a
 # missing flag here means the registry and this list drifted).
@@ -243,14 +212,14 @@ help_has() {
 }
 help_has gen
 help_has profile
-help_has build --seed --certify --threads --kernel --lanes --executor
+help_has build --seed --certify --threads --kernel --lanes
 help_has check --faults --claimed --seed --workers --worker-batch \
-  --worker-timeout --threads --kernel --lanes --executor
+  --worker-timeout --threads --kernel --lanes
 help_has sweep --faults --sets --seed --exhaustive --stdin \
   --delivery-pairs --workers --worker-batch --worker-timeout --threads \
-  --kernel --lanes --batch --executor --progress-every
+  --kernel --lanes --batch --progress-every
 help_has serve --tables --requests --stdin --max-resident-bytes \
-  --threads --kernel --lanes --batch --executor --progress-every
+  --threads --kernel --lanes --batch --progress-every
 help_has stretch
 help_has snapshot --graph --routes --seed --out
 
@@ -284,7 +253,9 @@ expect_usage_error serve --tables
 expect_usage_error snapshot --graph
 expect_usage_error check --kernel frob
 expect_usage_error sweep --lanes 96
-expect_usage_error sweep --executor greedy
+# The removed scalar kernel and the removed executor flag are refused.
+expect_usage_error check --kernel scalar
+expect_usage_error sweep --executor steal
 expect_usage_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
   --stdin --exhaustive
 
