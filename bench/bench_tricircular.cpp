@@ -110,6 +110,29 @@ void bench_build_tricircular(benchmark::State& state) {
 }
 BENCHMARK(bench_build_tricircular)->Arg(48)->Arg(96)->Arg(144);
 
+// Planning at perfbench scale: the full variant at t = 3 (K = 27) on a
+// square torus, ~8.5k tree-routing queries at 20x20 on one split-network
+// solver.
+void bench_build_tricircular_torus(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto gg = torus_graph(side, side);
+  const auto m = nset(gg.graph, tricircular_required_k(3), 29);
+  if (m.size() < tricircular_required_k(3)) {
+    state.SkipWithError("neighborhood set too small");
+    return;
+  }
+  for (auto _ : state) {
+    auto tr =
+        build_tricircular_routing(gg.graph, 3, m, TriCircularVariant::kFull);
+    benchmark::DoNotOptimize(tr.table.num_routes());
+  }
+  state.SetLabel(gg.name);
+}
+BENCHMARK(bench_build_tricircular_torus)
+    ->Arg(16)
+    ->Arg(20)
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -10,7 +10,9 @@
 # Defaults: build-dir = ./build, out-dir = repo root. Pass a filter via
 # BENCH_FILTER to restrict which google-benchmark cases run (default runs
 # the surviving-diameter/fault-sweep/registry throughput benches, which are
-# the PR acceptance metric; set BENCH_FILTER=. to run everything). Each
+# the acceptance metric for changes, plus the planning benches: tri-circular
+# construction and node connectivity, i.e. the Menger solver; set
+# BENCH_FILTER=. to run everything). Each
 # JSON's context block records host_cores next to google-benchmark's own
 # num_cpus, plus max_resident_bytes — the peak RSS of the bench process
 # (getrusage ru_maxrss of the child) — so memory-sensitive baselines like
@@ -20,7 +22,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-.}"
-FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|dist_sweep}"
+FILTER="${BENCH_FILTER:-surviving_diameter|fault_sweep|componentwise_sweep|srg_kernels|table_registry|dist_sweep|tricircular|node_connectivity}"
 HOST_CORES="$(nproc 2>/dev/null || echo 1)"
 mkdir -p "${OUT_DIR}"
 
@@ -66,7 +68,7 @@ with open(path, "w") as f:
 PY
 }
 
-BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_dist_sweep)
+BENCHES=(bench_recovery bench_comparison bench_srg_kernels bench_table_registry bench_dist_sweep bench_tricircular bench_construction)
 WRITTEN_JSONS=()
 
 for bench in "${BENCHES[@]}"; do

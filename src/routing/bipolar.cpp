@@ -56,8 +56,8 @@ BipolarSets make_sets(const Graph& g, std::uint32_t t,
 // concentrator side to every shell of that side. The shared node r (the
 // root) is adjacent to every member, so each routing re-derives the same
 // direct edge (m, r) — an allowed identical re-assignment.
-void install_member_to_shell_routings(RoutingTable& table, const Graph& g,
-                                      std::uint32_t t,
+void install_member_to_shell_routings(RoutingTable& table,
+                                      SplitFlowSolver& solver, std::uint32_t t,
                                       const std::vector<Node>& members,
                                       const std::vector<std::vector<Node>>& shells) {
   for (Node m : members) {
@@ -67,7 +67,7 @@ void install_member_to_shell_routings(RoutingTable& table, const Graph& g,
         for (Node y : shells[j]) table.set_route(Path{m, y});
         continue;
       }
-      const TreeRouting tr = build_tree_routing(g, m, shells[j], t + 1);
+      const TreeRouting tr = build_tree_routing(solver, m, shells[j], t + 1);
       install_tree_routing(table, tr);
     }
   }
@@ -79,6 +79,7 @@ BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
                                             const TwoTreesWitness& roots) {
   BipolarSets s = make_sets(g, t, roots);
   RoutingTable table(g.num_nodes(), RoutingMode::kUnidirectional);
+  SplitFlowSolver solver(g);
 
   // Component B-POL 6: direct edges, both directions.
   install_edge_routes(table, g);
@@ -86,16 +87,16 @@ BipolarRouting build_bipolar_unidirectional(const Graph& g, std::uint32_t t,
   // Components B-POL 1 and B-POL 2: directed tree routings into M1 and M2.
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (!s.in_m1[x]) {
-      install_tree_routing(table, build_tree_routing(g, x, s.m1, t + 1));
+      install_tree_routing(table, build_tree_routing(solver, x, s.m1, t + 1));
     }
     if (!s.in_m2[x]) {
-      install_tree_routing(table, build_tree_routing(g, x, s.m2, t + 1));
+      install_tree_routing(table, build_tree_routing(solver, x, s.m2, t + 1));
     }
   }
 
   // Components B-POL 3 and B-POL 4: members route out to their shells.
-  install_member_to_shell_routings(table, g, t, s.m1, s.gamma1);
-  install_member_to_shell_routings(table, g, t, s.m2, s.gamma2);
+  install_member_to_shell_routings(table, solver, t, s.m1, s.gamma1);
+  install_member_to_shell_routings(table, solver, t, s.m2, s.gamma2);
 
   // Component B-POL 5: mirror every one-directional route. Snapshot first;
   // set_route_if_absent keeps already-defined directions intact.
@@ -116,6 +117,7 @@ BipolarRouting build_bipolar_bidirectional(const Graph& g, std::uint32_t t,
                                            const TwoTreesWitness& roots) {
   BipolarSets s = make_sets(g, t, roots);
   RoutingTable table(g.num_nodes(), RoutingMode::kBidirectional);
+  SplitFlowSolver solver(g);
 
   // Component 2B-POL 5: direct edges.
   install_edge_routes(table, g);
@@ -125,16 +127,16 @@ BipolarRouting build_bipolar_bidirectional(const Graph& g, std::uint32_t t,
   // exclusions are what keep the bidirectional closure conflict-free.
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (!s.in_m1[x] && !s.in_m2[x] && !s.in_gamma1[x]) {
-      install_tree_routing(table, build_tree_routing(g, x, s.m1, t + 1));
+      install_tree_routing(table, build_tree_routing(solver, x, s.m1, t + 1));
     }
     if (!s.in_m2[x] && !s.in_gamma2[x]) {
-      install_tree_routing(table, build_tree_routing(g, x, s.m2, t + 1));
+      install_tree_routing(table, build_tree_routing(solver, x, s.m2, t + 1));
     }
   }
 
   // Components 2B-POL 3 and 2B-POL 4.
-  install_member_to_shell_routings(table, g, t, s.m1, s.gamma1);
-  install_member_to_shell_routings(table, g, t, s.m2, s.gamma2);
+  install_member_to_shell_routings(table, solver, t, s.m1, s.gamma1);
+  install_member_to_shell_routings(table, solver, t, s.m2, s.gamma2);
 
   return BipolarRouting{std::move(table), roots, std::move(s.m1),
                         std::move(s.m2), t};

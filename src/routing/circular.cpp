@@ -44,6 +44,7 @@ CircularRouting build_circular_routing(const Graph& g, std::uint32_t t,
   install_edge_routes(table, g);
 
   const std::uint32_t forward = (k + 1) / 2 - 1;  // ceil(K/2) - 1 for odd K
+  SplitFlowSolver solver(g);
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (shell_of[x] == 0) {
       // Component CIRC 1: x outside Gamma routes to every shell.
@@ -53,7 +54,7 @@ CircularRouting build_circular_routing(const Graph& g, std::uint32_t t,
           for (Node y : gamma[i]) table.set_route(Path{x, y});
           continue;
         }
-        const TreeRouting tr = build_tree_routing(g, x, gamma[i], t + 1);
+        const TreeRouting tr = build_tree_routing(solver, x, gamma[i], t + 1);
         install_tree_routing(table, tr);
       }
     } else {
@@ -61,7 +62,8 @@ CircularRouting build_circular_routing(const Graph& g, std::uint32_t t,
       const std::uint32_t i = shell_of[x] - 1;
       for (std::uint32_t j = 1; j <= forward; ++j) {
         const std::uint32_t target = (i + j) % k;
-        const TreeRouting tr = build_tree_routing(g, x, gamma[target], t + 1);
+        const TreeRouting tr =
+            build_tree_routing(solver, x, gamma[target], t + 1);
         install_tree_routing(table, tr);
       }
     }

@@ -13,8 +13,9 @@ KernelRouting build_kernel_routing(
     std::optional<std::vector<Node>> separating_set) {
   FTR_EXPECTS(g.num_nodes() >= 3);
 
+  SplitFlowSolver solver(g);
   std::vector<Node> m =
-      separating_set ? std::move(*separating_set) : min_vertex_cut(g);
+      separating_set ? std::move(*separating_set) : solver.min_vertex_cut();
   FTR_EXPECTS_MSG(m.size() >= t + 1,
                   "separating set of size " << m.size()
                                             << " cannot host width " << t + 1);
@@ -31,7 +32,7 @@ KernelRouting build_kernel_routing(
   const std::unordered_set<Node> in_m(m.begin(), m.end());
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (in_m.count(x)) continue;
-    const TreeRouting tr = build_tree_routing(g, x, m, t + 1);
+    const TreeRouting tr = build_tree_routing(solver, x, m, t + 1);
     install_tree_routing(table, tr);
   }
 

@@ -10,9 +10,10 @@ namespace ftr {
 
 MultiRouteTable build_full_multirouting(const Graph& g, std::uint32_t t) {
   MultiRouteTable table(g.num_nodes(), t + 1, /*bidirectional=*/true);
+  SplitFlowSolver solver(g);
   for (Node x = 0; x < g.num_nodes(); ++x) {
     for (Node y = x + 1; y < g.num_nodes(); ++y) {
-      const auto paths = disjoint_paths(g, x, y, t + 1);
+      const auto paths = solver.disjoint_paths(x, y, t + 1);
       FTR_EXPECTS_MSG(paths.size() >= t + 1,
                       "only " << paths.size() << " disjoint paths between "
                               << x << " and " << y
@@ -25,13 +26,15 @@ MultiRouteTable build_full_multirouting(const Graph& g, std::uint32_t t) {
 
 namespace {
 
-std::vector<Node> concentrator_or_min_cut(const Graph& g, std::uint32_t t,
+std::vector<Node> concentrator_or_min_cut(SplitFlowSolver& solver,
+                                          std::uint32_t t,
                                           std::optional<std::vector<Node>>& m) {
-  std::vector<Node> set = m ? std::move(*m) : min_vertex_cut(g);
+  std::vector<Node> set = m ? std::move(*m) : solver.min_vertex_cut();
   FTR_EXPECTS_MSG(set.size() >= t + 1,
                   "separating set of size " << set.size()
                                             << " cannot host width " << t + 1);
-  FTR_EXPECTS_MSG(is_separating_set(g, set), "M does not separate the graph");
+  FTR_EXPECTS_MSG(is_separating_set(solver.graph(), set),
+                  "M does not separate the graph");
   return set;
 }
 
@@ -39,7 +42,8 @@ std::vector<Node> concentrator_or_min_cut(const Graph& g, std::uint32_t t,
 
 ConcentratorMultirouting build_kernel_multirouting(
     const Graph& g, std::uint32_t t, std::optional<std::vector<Node>> m) {
-  std::vector<Node> set = concentrator_or_min_cut(g, t, m);
+  SplitFlowSolver solver(g);
+  std::vector<Node> set = concentrator_or_min_cut(solver, t, m);
   MultiRouteTable table(g.num_nodes(), t + 1, /*bidirectional=*/true);
 
   // Kernel components, single-routed: direct edges and tree routings to M.
@@ -47,7 +51,7 @@ ConcentratorMultirouting build_kernel_multirouting(
   const std::unordered_set<Node> in_m(set.begin(), set.end());
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (in_m.count(x)) continue;
-    const TreeRouting tr = build_tree_routing(g, x, set, t + 1);
+    const TreeRouting tr = build_tree_routing(solver, x, set, t + 1);
     for (const Path& p : tr.paths) table.add_route(p);
   }
 
@@ -55,7 +59,7 @@ ConcentratorMultirouting build_kernel_multirouting(
   // members (the direct edge, if present, dedups against the edge route).
   for (std::size_t i = 0; i < set.size(); ++i) {
     for (std::size_t j = i + 1; j < set.size(); ++j) {
-      const auto paths = disjoint_paths(g, set[i], set[j], t + 1);
+      const auto paths = solver.disjoint_paths(set[i], set[j], t + 1);
       FTR_EXPECTS_MSG(paths.size() >= t + 1,
                       "concentrator pair lacks t+1 disjoint paths");
       for (const Path& p : paths) table.add_route(p);
@@ -66,7 +70,8 @@ ConcentratorMultirouting build_kernel_multirouting(
 
 ConcentratorMultirouting build_mult_routing(
     const Graph& g, std::uint32_t t, std::optional<std::vector<Node>> m) {
-  std::vector<Node> set = concentrator_or_min_cut(g, t, m);
+  SplitFlowSolver solver(g);
+  std::vector<Node> set = concentrator_or_min_cut(solver, t, m);
   MultiRouteTable table(g.num_nodes(), 2, /*bidirectional=*/true);
 
   // Component MULT 1 first (tree routings carry the Lemma 1 guarantee and
@@ -74,7 +79,7 @@ ConcentratorMultirouting build_mult_routing(
   const std::unordered_set<Node> in_m(set.begin(), set.end());
   for (Node x = 0; x < g.num_nodes(); ++x) {
     if (in_m.count(x)) continue;
-    const TreeRouting tr = build_tree_routing(g, x, set, t + 1);
+    const TreeRouting tr = build_tree_routing(solver, x, set, t + 1);
     for (const Path& p : tr.paths) {
       const bool kept = table.try_add_route(p);
       FTR_ASSERT_MSG(kept, "MULT 1 route dropped; cap misconfigured");
@@ -90,7 +95,7 @@ ConcentratorMultirouting build_mult_routing(
       if (mi == mj || g.has_edge(mi, mj)) continue;
       const auto nbrs = g.neighbors(mj);
       const std::vector<Node> shell(nbrs.begin(), nbrs.end());
-      const TreeRouting tr = build_tree_routing(g, mi, shell, t + 1);
+      const TreeRouting tr = build_tree_routing(solver, mi, shell, t + 1);
       for (const Path& p : tr.paths) table.try_add_route(p);
     }
   }

@@ -1,7 +1,6 @@
 #include "routing/tree_routing.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/contracts.hpp"
 #include "graph/connectivity.hpp"
@@ -15,11 +14,11 @@ std::vector<Node> TreeRouting::endpoints() const {
   return out;
 }
 
-TreeRouting build_tree_routing(const Graph& g, Node x,
+TreeRouting build_tree_routing(SplitFlowSolver& solver, Node x,
                                const std::vector<Node>& target_set,
                                std::uint32_t width) {
   FTR_EXPECTS(width >= 1);
-  auto paths = disjoint_paths_to_set(g, x, target_set);
+  auto paths = solver.disjoint_paths_to_set(x, target_set);
   FTR_EXPECTS_MSG(paths.size() >= width,
                   "only " << paths.size() << " disjoint paths from " << x
                           << " to the target set; " << width << " required");
@@ -34,35 +33,45 @@ TreeRouting build_tree_routing(const Graph& g, Node x,
   paths.resize(width);
 
   TreeRouting tr{x, std::move(paths)};
-  FTR_ENSURES(validate_tree_routing(g, tr, target_set));
+  FTR_ENSURES(validate_tree_routing(solver.graph(), tr, target_set));
   return tr;
 }
 
 bool validate_tree_routing(const Graph& g, const TreeRouting& tr,
                            const std::vector<Node>& target_set) {
-  const std::unordered_set<Node> m_set(target_set.begin(), target_set.end());
-  if (m_set.count(tr.source)) return false;
+  // Flat per-node marks: a target, an endpoint already used, a node already
+  // used inside some path.
+  constexpr std::uint8_t kTarget = 1;
+  constexpr std::uint8_t kEndpoint = 2;
+  constexpr std::uint8_t kInternal = 4;
+  if (!g.valid_node(tr.source)) return false;
+  std::vector<std::uint8_t> mark(g.num_nodes(), 0);
+  for (Node m : target_set) {
+    if (!g.valid_node(m)) return false;
+    mark[m] |= kTarget;
+  }
+  if (mark[tr.source] & kTarget) return false;
 
-  std::unordered_set<Node> used_endpoints;
-  std::unordered_set<Node> used_internal;
   for (const Path& p : tr.paths) {
     if (p.size() < 2) return false;
     if (p.front() != tr.source) return false;
     if (!g.is_simple_path(p)) return false;
-    if (!m_set.count(p.back())) return false;
-    if (!used_endpoints.insert(p.back()).second) return false;  // dup target
+    std::uint8_t& end = mark[p.back()];
+    if (!(end & kTarget)) return false;
+    if (end & kEndpoint) return false;  // dup target
+    end |= kEndpoint;
     for (std::size_t i = 1; i + 1 < p.size(); ++i) {
-      if (m_set.count(p[i])) return false;  // must stop at first M node
-      if (!used_internal.insert(p[i]).second) return false;  // not disjoint
+      std::uint8_t& inner = mark[p[i]];
+      if (inner & kTarget) return false;    // must stop at first M node
+      if (inner & kInternal) return false;  // not disjoint
+      inner |= kInternal;
     }
     // Direct-edge rule: a chosen endpoint adjacent to x is reached by the
     // edge itself.
     if (g.has_edge(tr.source, p.back()) && p.size() != 2) return false;
   }
-  // Endpoints must not appear as internal nodes of other paths.
-  for (Node e : used_endpoints) {
-    if (used_internal.count(e)) return false;
-  }
+  // Endpoints are targets and no target is internal, so no endpoint lies
+  // inside another path.
   return true;
 }
 

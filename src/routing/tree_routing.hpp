@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
 #include "routing/route_table.hpp"
 
@@ -27,12 +28,15 @@ struct TreeRouting {
   std::vector<Node> endpoints() const;
 };
 
-/// Builds a tree routing of exactly `width` paths from x to `target_set`.
-/// Throws ContractViolation if fewer than `width` disjoint paths exist
-/// (i.e. the target set does not (width)-separate x in the Menger sense).
-/// When more than `width` paths exist, direct-edge paths are kept first and
-/// the remainder are chosen shortest-first.
-TreeRouting build_tree_routing(const Graph& g, Node x,
+/// Builds a tree routing of exactly `width` paths from x to `target_set`
+/// on the solver's graph; the max-flow runs on the solver's reusable split
+/// network, so a construction plans all of its tree routings on one solver.
+/// Throws ContractViolation if a target id is not a node, or if fewer than
+/// `width` disjoint paths exist (i.e. the target set does not
+/// (width)-separate x in the Menger sense). When more than `width` paths
+/// exist, direct-edge paths are kept first and the remainder are chosen
+/// shortest-first.
+TreeRouting build_tree_routing(SplitFlowSolver& solver, Node x,
                                const std::vector<Node>& target_set,
                                std::uint32_t width);
 

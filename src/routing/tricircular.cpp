@@ -49,12 +49,13 @@ TriCircularRouting build_tricircular_routing(
                                    : (k + 1) / 2 - 1;
   FTR_ASSERT(window <= (k + 1) / 2 - 1);  // conflict-freedom needs <= half
 
+  SplitFlowSolver solver(g);
   auto route_to_shell = [&](Node x, std::uint32_t s) {
     if (x == m[s]) {
       for (Node y : gamma[s]) table.set_route(Path{x, y});
       return;
     }
-    const TreeRouting tr = build_tree_routing(g, x, gamma[s], t + 1);
+    const TreeRouting tr = build_tree_routing(solver, x, gamma[s], t + 1);
     install_tree_routing(table, tr);
   };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "common/contracts.hpp"
@@ -190,6 +191,34 @@ TEST(DisjointPathsToSet, AvoidExcludesNodes) {
 TEST(DisjointPathsToSet, SourceInSetRejected) {
   const auto gg = cycle_graph(5);
   EXPECT_THROW(disjoint_paths_to_set(gg.graph, 0, {0, 2}), ContractViolation);
+}
+
+// Expects fn to throw ContractViolation whose message names `id`.
+template <typename Fn>
+void expect_rejects_id(Fn&& fn, const std::string& id) {
+  try {
+    fn();
+    ADD_FAILURE() << "id " << id << " was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(id), std::string::npos) << e.what();
+  }
+}
+
+TEST(DisjointPathsToSet, OutOfRangeTargetRejected) {
+  const auto gg = torus_graph(4, 4);
+  expect_rejects_id(
+      [&] { disjoint_paths_to_set(gg.graph, 0, {5, 10, 9999}); }, "9999");
+  SplitFlowSolver solver(gg.graph);
+  expect_rejects_id([&] { solver.disjoint_paths_to_set(0, {16}); }, "16");
+}
+
+TEST(DisjointPathsToSet, OutOfRangeAvoidRejected) {
+  const auto gg = torus_graph(4, 4);
+  expect_rejects_id(
+      [&] { disjoint_paths_to_set(gg.graph, 0, {5, 10}, {4242}); }, "4242");
+  SplitFlowSolver solver(gg.graph);
+  expect_rejects_id([&] { solver.disjoint_paths_to_set(0, {5}, {3, 16}); },
+                    "16");
 }
 
 TEST(DisjointPathsToSet, InternallyDisjoint) {

@@ -86,6 +86,7 @@ TEST(FuzzPlanner, TreeRoutingsAlwaysValidOnRandomGraphs) {
   std::size_t graphs_checked = 0;
   for (int trial = 0; trial < 12 && graphs_checked < 4; ++trial) {
     auto gg = gnp(24, 0.18, rng);
+    SplitFlowSolver solver(gg.graph);
     const auto kappa = node_connectivity(gg.graph);
     if (kappa < 2) continue;
     if (gg.graph.num_edges() == 24 * 23 / 2) continue;
@@ -93,7 +94,7 @@ TEST(FuzzPlanner, TreeRoutingsAlwaysValidOnRandomGraphs) {
     std::size_t sources = 0;
     for (Node x = 0; x < gg.graph.num_nodes(); ++x) {
       if (std::find(cut.begin(), cut.end(), x) != cut.end()) continue;
-      const auto tr = build_tree_routing(gg.graph, x, cut, kappa);
+      const auto tr = build_tree_routing(solver, x, cut, kappa);
       EXPECT_TRUE(validate_tree_routing(gg.graph, tr, cut))
           << "graph trial " << trial << " source " << x;
       ++sources;

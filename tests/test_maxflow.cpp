@@ -118,5 +118,76 @@ TEST(MaxFlow, BipartiteMatchingShape) {
   EXPECT_EQ(net.max_flow(0, 7), 3);
 }
 
+TEST(MaxFlow, OutEdgesKeepInsertionOrder) {
+  FlowNetwork net(3);
+  const auto a = net.add_edge(0, 1, 1);
+  const auto b = net.add_edge(2, 0, 1);
+  const auto c = net.add_edge(0, 2, 1);
+  net.freeze();
+  const auto row = net.out_edges(0);
+  ASSERT_EQ(row.size(), 3u);
+  EXPECT_EQ(row[0], a);
+  EXPECT_EQ(row[1], b ^ 1);  // reverse arc of 2 -> 0
+  EXPECT_EQ(row[2], c);
+}
+
+TEST(MaxFlow, AddEdgeAfterFreezeRejected) {
+  FlowNetwork net(2);
+  net.add_edge(0, 1, 1);
+  EXPECT_EQ(net.max_flow(0, 1), 1);  // freezes
+  EXPECT_THROW(net.add_edge(1, 0, 1), ContractViolation);
+}
+
+TEST(MaxFlow, SetCapacityRearmsArcAndItsReverse) {
+  FlowNetwork net(3);
+  const auto e01 = net.add_edge(0, 1, 2);
+  const auto e12 = net.add_edge(1, 2, 2);
+  EXPECT_EQ(net.max_flow(0, 2), 2);
+  EXPECT_EQ(net.residual(e01 ^ 1), 2);
+  // Re-arming clears the flow on both arcs of each pair.
+  net.set_capacity(e01, 3);
+  net.set_capacity(e12, 1);
+  EXPECT_EQ(net.flow_on(e01), 0);
+  EXPECT_EQ(net.residual(e01), 3);
+  EXPECT_EQ(net.residual(e01 ^ 1), 0);
+  EXPECT_EQ(net.max_flow(0, 2), 1);
+  // A zero-capacity arc is invisible to the next query.
+  net.set_capacity(e01, 0);
+  net.set_capacity(e12, 5);
+  EXPECT_EQ(net.max_flow(0, 2), 0);
+  EXPECT_THROW(net.set_capacity(e01 ^ 1, 1), ContractViolation);  // reverse
+  EXPECT_THROW(net.set_capacity(e12, -1), ContractViolation);
+}
+
+TEST(MaxFlow, RearmedNetworkMatchesFreshOne) {
+  // After a query, re-arming every arc must leave no trace of it: the next
+  // flow equals that of a network built with those capacities, arc by arc.
+  // Node 4 hangs off a level-1 node, so it is labelled after the sink in
+  // the first BFS of a phase and the early exit skips it.
+  auto build = [](FlowNetwork& net, bool with_extra) {
+    net.add_edge(0, 1, 1);
+    net.add_edge(0, 2, 1);
+    net.add_edge(1, 3, 1);
+    net.add_edge(2, 3, 1);
+    net.add_edge(1, 4, with_extra ? 1 : 0);
+    net.add_edge(4, 5, 1);
+    net.add_edge(5, 3, 1);
+    net.add_edge(2, 4, 1);
+  };
+  FlowNetwork fresh(6);
+  build(fresh, true);
+  FlowNetwork reused(6);
+  build(reused, false);
+  EXPECT_EQ(reused.max_flow(0, 3), 2);
+  reused.set_capacity(8, 1);  // the 1 -> 4 arc, fifth added
+  for (std::size_t id : {0u, 2u, 4u, 6u, 10u, 12u, 14u}) {
+    reused.set_capacity(id, 1);
+  }
+  EXPECT_EQ(reused.max_flow(0, 3), fresh.max_flow(0, 3));
+  for (std::size_t id = 0; id < 16; id += 2) {
+    EXPECT_EQ(reused.flow_on(id), fresh.flow_on(id)) << "arc " << id;
+  }
+}
+
 }  // namespace
 }  // namespace ftr

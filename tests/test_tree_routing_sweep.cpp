@@ -49,6 +49,7 @@ class TreeRoutingSweep : public testing::TestWithParam<SweepCase> {};
 
 TEST_P(TreeRoutingSweep, FullWidthToMinimumCutFromEverySource) {
   const auto gg = GetParam().make();
+  SplitFlowSolver solver(gg.graph);
   const auto kappa = gg.known_connectivity ? *gg.known_connectivity
                                            : node_connectivity(gg.graph);
   ASSERT_GE(kappa, 1u);
@@ -57,7 +58,7 @@ TEST_P(TreeRoutingSweep, FullWidthToMinimumCutFromEverySource) {
   const std::set<Node> cut_set(cut.begin(), cut.end());
   for (Node x = 0; x < gg.graph.num_nodes(); ++x) {
     if (cut_set.count(x)) continue;
-    const auto tr = build_tree_routing(gg.graph, x, cut, kappa);
+    const auto tr = build_tree_routing(solver, x, cut, kappa);
     EXPECT_TRUE(validate_tree_routing(gg.graph, tr, cut)) << "source " << x;
     EXPECT_EQ(tr.paths.size(), kappa);
   }
@@ -67,6 +68,7 @@ TEST_P(TreeRoutingSweep, FullWidthToNeighborhoodShells) {
   // Shells Gamma(m) are separating sets for m; every source outside the
   // shell (and distinct from m) must reach full width kappa.
   const auto gg = GetParam().make();
+  SplitFlowSolver solver(gg.graph);
   const auto kappa = gg.known_connectivity ? *gg.known_connectivity
                                            : node_connectivity(gg.graph);
   Rng rng(5);
@@ -78,7 +80,7 @@ TEST_P(TreeRoutingSweep, FullWidthToNeighborhoodShells) {
   const std::set<Node> shell_set(shell.begin(), shell.end());
   for (Node x = 0; x < gg.graph.num_nodes(); ++x) {
     if (x == m || shell_set.count(x)) continue;
-    const auto tr = build_tree_routing(gg.graph, x, shell, kappa);
+    const auto tr = build_tree_routing(solver, x, shell, kappa);
     EXPECT_TRUE(validate_tree_routing(gg.graph, tr, shell)) << "source " << x;
   }
 }
@@ -87,6 +89,7 @@ TEST_P(TreeRoutingSweep, Lemma1CountingArgument) {
   // Any fault set smaller than the width leaves at least one surviving
   // path, for sampled fault sets avoiding the source.
   const auto gg = GetParam().make();
+  SplitFlowSolver solver(gg.graph);
   const auto kappa = gg.known_connectivity ? *gg.known_connectivity
                                            : node_connectivity(gg.graph);
   if (kappa < 2) GTEST_SKIP() << "needs width >= 2";
@@ -95,7 +98,7 @@ TEST_P(TreeRoutingSweep, Lemma1CountingArgument) {
   Rng rng(77);
   Node source = 0;
   while (cut_set.count(source)) ++source;
-  const auto tr = build_tree_routing(gg.graph, source, cut, kappa);
+  const auto tr = build_tree_routing(solver, source, cut, kappa);
   for (int trial = 0; trial < 30; ++trial) {
     auto sample = rng.sample(gg.graph.num_nodes(), kappa - 1);
     std::vector<Node> faults;
