@@ -153,7 +153,7 @@ namespace {
 // delivery_pairs, seed, index) — scheduling-proof AND partition-proof: a
 // remote worker handed index i reproduces the exact record the local sweep
 // would have produced at i.
-FaultSweepRecord evaluate_one(const RoutingTable& table, SrgScratch& scratch,
+FaultSweepRecord evaluate_one(const RoutingTable* table, SrgScratch& scratch,
                               const std::vector<Node>& faults,
                               const FaultSweepOptions& options,
                               std::uint64_t set_index) {
@@ -166,7 +166,7 @@ FaultSweepRecord evaluate_one(const RoutingTable& table, SrgScratch& scratch,
     // The scratch still holds this set from evaluate() above; materialize
     // without applying it again.
     Rng rng = Rng::stream(options.seed, set_index);
-    rec.delivery = measure_delivery_on(table, scratch.last_surviving_graph(),
+    rec.delivery = measure_delivery_on(*table, scratch.last_surviving_graph(),
                                        options.delivery_pairs, rng);
   }
   return rec;
@@ -199,6 +199,26 @@ struct ProgressEmitter {
   }
 };
 
+// Delivery sampling routes messages over the table, so only the forms that
+// take one may ask for it; the index-only forms pass a null table.
+void expect_sweep_inputs(const RoutingTable* table, const SrgIndex& index,
+                         const FaultSweepOptions& options) {
+  if (table != nullptr) {
+    FTR_EXPECTS(index.num_nodes() == table->num_nodes());
+  } else {
+    FTR_EXPECTS_MSG(options.delivery_pairs == 0,
+                    "delivery sampling needs the routing table");
+  }
+}
+
+// Chunk grain for one batch of `filled` sets: split it over every worker,
+// a short batch (a stream's tail, or a stream shorter than one batch per
+// worker) included, with chunks of at most batch_size sets.
+std::size_t batch_grain(std::size_t filled, std::size_t batch_size,
+                        unsigned workers) {
+  return std::min(batch_size, (filled + workers - 1) / workers);
+}
+
 // The batched streaming core. Reads batch_size * workers sets, fans the
 // batch across the workers (one chunk per worker, each owning an
 // SrgScratch), reduces the batch in input order, and reuses the buffers for
@@ -206,13 +226,13 @@ struct ProgressEmitter {
 // length. Per-record values are pure per-set functions and the reduce order
 // is the global input order, so the partial depends on neither the thread
 // count nor the batch size.
-SweepPartial stream_partial_impl(const RoutingTable& table,
+SweepPartial stream_partial_impl(const RoutingTable* table,
                                  const SrgIndex& index, FaultSetSource& source,
                                  std::uint64_t base_index,
                                  const FaultSweepOptions& options,
                                  std::vector<FaultSweepRecord>* per_set_out,
                                  ExecutorStats* executor_out) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
+  expect_sweep_inputs(table, index, options);
   SweepPartial partial;
   ExecutorStats executor;
   const unsigned workers = options.exec.resolved_threads();
@@ -232,7 +252,7 @@ SweepPartial stream_partial_impl(const RoutingTable& table,
     const std::uint64_t base = base_index + partial.sets;
     ExecutorStats batch_stats;
     parallel_for_chunks(
-        filled, workers, batch_size,
+        filled, workers, batch_grain(filled, batch_size, workers),
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
@@ -269,30 +289,14 @@ FaultSweepSummary finish_summary(const SweepPartial& partial, unsigned workers,
   return summary;
 }
 
-}  // namespace
-
-SweepPartial sweep_fault_source_partial(const RoutingTable& table,
-                                        const SrgIndex& index,
-                                        FaultSetSource& source,
-                                        std::uint64_t base_index,
-                                        const FaultSweepOptions& options,
-                                        ExecutorStats* executor) {
-  return stream_partial_impl(table, index, source, base_index, options,
-                             nullptr, executor);
-}
-
-SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
-                                         const SrgIndex& index, std::size_t f,
-                                         std::uint64_t begin_rank,
-                                         std::uint64_t end_rank,
-                                         const FaultSweepOptions& options,
-                                         ExecutorStats* executor_out) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
+SweepPartial gray_range_impl(const RoutingTable* table, const SrgIndex& index,
+                             std::size_t f, std::uint64_t begin_rank,
+                             std::uint64_t end_rank,
+                             const FaultSweepOptions& options,
+                             ExecutorStats* executor_out) {
+  expect_sweep_inputs(table, index, options);
   const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
+  const std::uint64_t total = enumerable_subsets(n, f);
   FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
 
   SweepPartial partial;
@@ -323,7 +327,7 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                      options.delivery_pairs > 0) ==
         SrgKernel::kPacked;
     parallel_for_chunks(
-        filled, workers, batch_size,
+        filled, workers, batch_grain(filled, batch_size, workers),
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           (void)chunk;
           SrgScratch scratch(index);
@@ -373,6 +377,46 @@ SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
   return partial;
 }
 
+}  // namespace
+
+SweepPartial sweep_fault_source_partial(const RoutingTable& table,
+                                        const SrgIndex& index,
+                                        FaultSetSource& source,
+                                        std::uint64_t base_index,
+                                        const FaultSweepOptions& options,
+                                        ExecutorStats* executor) {
+  return stream_partial_impl(&table, index, source, base_index, options,
+                             nullptr, executor);
+}
+
+SweepPartial sweep_fault_source_partial(const SrgIndex& index,
+                                        FaultSetSource& source,
+                                        std::uint64_t base_index,
+                                        const FaultSweepOptions& options,
+                                        ExecutorStats* executor) {
+  return stream_partial_impl(nullptr, index, source, base_index, options,
+                             nullptr, executor);
+}
+
+SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
+                                         const SrgIndex& index, std::size_t f,
+                                         std::uint64_t begin_rank,
+                                         std::uint64_t end_rank,
+                                         const FaultSweepOptions& options,
+                                         ExecutorStats* executor) {
+  return gray_range_impl(&table, index, f, begin_rank, end_rank, options,
+                         executor);
+}
+
+SweepPartial sweep_exhaustive_gray_range(const SrgIndex& index, std::size_t f,
+                                         std::uint64_t begin_rank,
+                                         std::uint64_t end_rank,
+                                         const FaultSweepOptions& options,
+                                         ExecutorStats* executor) {
+  return gray_range_impl(nullptr, index, f, begin_rank, end_rank, options,
+                         executor);
+}
+
 // --- summary wrappers --------------------------------------------------------
 
 FaultSweepSummary sweep_fault_source(const RoutingTable& table,
@@ -382,7 +426,8 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
   const auto t0 = std::chrono::steady_clock::now();
   ExecutorStats executor;
   const SweepPartial partial =
-      stream_partial_impl(table, index, source, 0, options, nullptr, &executor);
+      stream_partial_impl(&table, index, source, 0, options, nullptr,
+                          &executor);
   const auto t1 = std::chrono::steady_clock::now();
   return finish_summary(partial, options.exec.resolved_threads(), executor,
                         std::chrono::duration<double>(t1 - t0).count());
@@ -391,12 +436,7 @@ FaultSweepSummary sweep_fault_source(const RoutingTable& table,
 FaultSweepSummary sweep_exhaustive_gray(const RoutingTable& table,
                                         const SrgIndex& index, std::size_t f,
                                         const FaultSweepOptions& options) {
-  FTR_EXPECTS(index.num_nodes() == table.num_nodes());
-  const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
+  const std::uint64_t total = enumerable_subsets(index.num_nodes(), f);
   const auto t0 = std::chrono::steady_clock::now();
   ExecutorStats executor;
   const SweepPartial partial = sweep_exhaustive_gray_range(
@@ -415,7 +455,7 @@ FaultSweepSummary sweep_fault_sets(
   per_set.reserve(fault_sets.size());
   const auto t0 = std::chrono::steady_clock::now();
   ExecutorStats executor;
-  const SweepPartial partial = stream_partial_impl(table, index, source, 0,
+  const SweepPartial partial = stream_partial_impl(&table, index, source, 0,
                                                    options, &per_set,
                                                    &executor);
   const auto t1 = std::chrono::steady_clock::now();

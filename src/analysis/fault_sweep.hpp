@@ -153,12 +153,11 @@ struct FaultSweepProgress {
 };
 
 struct FaultSweepOptions {
-  /// How the sweep executes — threads, kernel, lanes, batch size, executor,
-  /// progress cadence (see common/exec_policy.hpp for the resolution
-  /// rules). Results never depend on any of it. exec.progress_every
-  /// schedules on_progress below: invoked roughly every that many sets
-  /// (0 = never), between batches, on the calling thread — it never races
-  /// the workers.
+  /// How the sweep executes — threads, kernel, lanes, batch size, progress
+  /// cadence (see common/exec_policy.hpp for the resolution rules).
+  /// Results never depend on any of it. exec.progress_every schedules
+  /// on_progress below: invoked roughly every that many sets (0 = never),
+  /// between batches, on the calling thread — it never races the workers.
   ExecPolicy exec;
   /// Ordered survivor pairs to sample per fault set for delivery stats;
   /// 0 skips delivery measurement entirely.
@@ -284,6 +283,21 @@ SweepPartial sweep_fault_source_partial(const RoutingTable& table,
 /// adjacent ranges in order is bit-identical to one sweep of the union.
 SweepPartial sweep_exhaustive_gray_range(const RoutingTable& table,
                                          const SrgIndex& index, std::size_t f,
+                                         std::uint64_t begin_rank,
+                                         std::uint64_t end_rank,
+                                         const FaultSweepOptions& options = {},
+                                         ExecutorStats* executor = nullptr);
+
+/// Index-only forms of the two partial entry points, for sweeps without
+/// delivery sampling (options.delivery_pairs must be 0): the index alone
+/// decides every diameter, so they serve multi-route tables too. The
+/// tolerance check runs its Gray and sampled phases on these.
+SweepPartial sweep_fault_source_partial(const SrgIndex& index,
+                                        FaultSetSource& source,
+                                        std::uint64_t base_index,
+                                        const FaultSweepOptions& options = {},
+                                        ExecutorStats* executor = nullptr);
+SweepPartial sweep_exhaustive_gray_range(const SrgIndex& index, std::size_t f,
                                          std::uint64_t begin_rank,
                                          std::uint64_t end_rank,
                                          const FaultSweepOptions& options = {},

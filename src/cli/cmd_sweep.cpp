@@ -7,6 +7,7 @@
 #include "analysis/fault_sweep.hpp"
 #include "cli/cli.hpp"
 #include "cli/cli_support.hpp"
+#include "common/combinatorics.hpp"
 #include "common/table.hpp"
 #include "dist/coordinator.hpp"
 #include "graph/bfs.hpp"
@@ -73,6 +74,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
     if (from_stdin && exhaustive) {
       throw UsageError("--stdin and --exhaustive are mutually exclusive");
     }
+    // Checked here, before either backend runs, so --workers 0 and N fail
+    // alike.
+    if (!from_stdin) expect_fault_budget(g.num_nodes(), f);
 
     FaultSweepOptions opts;
     opts.exec = a.exec;

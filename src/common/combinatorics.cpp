@@ -20,6 +20,19 @@ std::uint64_t binomial(std::uint64_t n, std::uint64_t k) {
   return result;
 }
 
+void expect_fault_budget(std::size_t n, std::size_t f) {
+  FTR_EXPECTS_MSG(f <= n, "fault budget f=" << f << " exceeds the n=" << n
+                                             << " nodes");
+}
+
+std::uint64_t enumerable_subsets(std::size_t n, std::size_t f) {
+  expect_fault_budget(n, f);
+  const std::uint64_t total = binomial(n, f);
+  FTR_EXPECTS_MSG(total != std::numeric_limits<std::uint64_t>::max(),
+                  "C(" << n << "," << f << ") saturated; not enumerable");
+  return total;
+}
+
 SubsetEnumerator::SubsetEnumerator(std::size_t n, std::size_t k)
     : n_(n), k_(k), cur_(k), valid_(k <= n) {
   for (std::size_t i = 0; i < k; ++i) cur_[i] = i;

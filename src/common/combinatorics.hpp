@@ -13,6 +13,16 @@ namespace ftr {
 /// compare enumeration budgets safely ("if binomial(n,f) <= budget: exhaust").
 std::uint64_t binomial(std::uint64_t n, std::uint64_t k);
 
+/// Throws ContractViolation naming f and n unless f <= n: a fault budget
+/// larger than the node set has no fault sets to probe, so a check or sweep
+/// over it must fail rather than report on zero sets.
+void expect_fault_budget(std::size_t n, std::size_t f);
+
+/// C(n, f) for a scan that walks every f-subset by rank: checks
+/// expect_fault_budget and that C(n, f) does not saturate (the ranks must
+/// be 64-bit addressable).
+std::uint64_t enumerable_subsets(std::size_t n, std::size_t f);
+
 /// Iterator-style enumeration of all k-subsets of {0,...,n-1} in
 /// lexicographic order. Usage:
 ///

@@ -76,8 +76,8 @@ struct CertifiedRouting {
 /// tolerance sweep harness — the planner's end of the sweep pipeline. The
 /// check fans across check_options.threads workers; the certificate is
 /// bit-identical for any thread count. When the fault budget allows
-/// exhausting f <= 3 the certification runs the revolving-door fast path
-/// (exhaustive_worst_faults_gray over the shared SRG index).
+/// exhausting f <= 3 the certification runs the revolving-door Gray sweep
+/// over the shared SRG index.
 CertifiedRouting build_certified_routing(
     const Graph& g, std::optional<std::uint32_t> known_connectivity, Rng& rng,
     const ToleranceCheckOptions& check_options = {});

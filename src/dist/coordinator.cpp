@@ -21,16 +21,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Mirrors the enumeration-size guard the in-process exhaustive scans apply:
-// a saturated binomial means the task space is not u64-addressable.
-std::uint64_t checked_total(std::size_t n, std::size_t f) {
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << ", " << f
-                       << ") overflows the 64-bit rank space");
-  return total;
-}
-
 }  // namespace
 
 struct DistSweepPool::Worker {
@@ -185,7 +175,7 @@ std::uint64_t DistSweepPool::auto_unit_items(std::uint64_t total) const {
   return std::clamp<std::uint64_t>(per, 1, 65536);
 }
 
-void DistSweepPool::run(const std::function<std::optional<UnitSpec>()>& feed,
+void DistSweepPool::run(const Feed& feed,
                         bool adversary,
                         std::vector<std::optional<SweepPartial>>& sweeps,
                         std::vector<std::optional<AdvPartial>>& advs) {
@@ -480,8 +470,7 @@ void DistSweepPool::run(const std::function<std::optional<UnitSpec>()>& feed,
   }
 }
 
-SweepPartial DistSweepPool::run_sweep(
-    const std::function<std::optional<UnitSpec>()>& feed) {
+SweepPartial DistSweepPool::run_sweep(const Feed& feed) {
   std::vector<std::optional<SweepPartial>> sweeps;
   std::vector<std::optional<AdvPartial>> advs;
   run(feed, /*adversary=*/false, sweeps, advs);
@@ -493,8 +482,7 @@ SweepPartial DistSweepPool::run_sweep(
   return total;
 }
 
-AdvPartial DistSweepPool::run_adv(
-    const std::function<std::optional<UnitSpec>()>& feed) {
+AdvPartial DistSweepPool::run_adv(const Feed& feed) {
   std::vector<std::optional<SweepPartial>> sweeps;
   std::vector<std::optional<AdvPartial>> advs;
   run(feed, /*adversary=*/true, sweeps, advs);
@@ -508,9 +496,11 @@ AdvPartial DistSweepPool::run_adv(
 }
 
 UnitSpec DistSweepPool::base_sweep_unit(
-    UnitKind kind, const FaultSweepOptions& sweep_options) const {
+    UnitKind kind, std::size_t f,
+    const FaultSweepOptions& sweep_options) const {
   UnitSpec u;
   u.kind = kind;
+  u.f = static_cast<std::uint32_t>(f);
   u.seed = sweep_options.seed;
   u.delivery_pairs = sweep_options.delivery_pairs;
   // kernel/lanes follow the sweep request; threads/batch are the
@@ -532,35 +522,31 @@ UnitSpec DistSweepPool::base_adv_unit(UnitKind kind, std::uint32_t f) const {
   return u;
 }
 
-SweepPartial DistSweepPool::sweep_exhaustive(
-    std::size_t f, const FaultSweepOptions& sweep_options) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
+DistSweepPool::Feed DistSweepPool::window_feed(UnitSpec unit,
+                                               std::uint64_t total) const {
   const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_sweep([&]() -> std::optional<UnitSpec> {
+  return [unit = std::move(unit), total, step,
+          pos = std::uint64_t{0}]() mutable -> std::optional<UnitSpec> {
     if (pos >= total) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepGray, sweep_options);
-    u.f = static_cast<std::uint32_t>(f);
+    UnitSpec u = unit;
     u.begin = pos;
     u.end = std::min(total, pos + step);
     pos = u.end;
     return u;
-  });
+  };
+}
+
+SweepPartial DistSweepPool::sweep_exhaustive(
+    std::size_t f, const FaultSweepOptions& sweep_options) {
+  return run_sweep(
+      window_feed(base_sweep_unit(UnitKind::kSweepGray, f, sweep_options),
+                  enumerable_subsets(snapshot_->table.num_nodes(), f)));
 }
 
 SweepPartial DistSweepPool::sweep_sampled(
     std::size_t f, std::uint64_t count, const FaultSweepOptions& sweep_options) {
-  const std::uint64_t step = auto_unit_items(count);
-  std::uint64_t pos = 0;
-  return run_sweep([&]() -> std::optional<UnitSpec> {
-    if (pos >= count) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepSampled, sweep_options);
-    u.f = static_cast<std::uint32_t>(f);
-    u.begin = pos;
-    u.end = std::min(count, pos + step);
-    pos = u.end;
-    return u;
-  });
+  return run_sweep(window_feed(
+      base_sweep_unit(UnitKind::kSweepSampled, f, sweep_options), count));
 }
 
 SweepPartial DistSweepPool::sweep_source(
@@ -574,7 +560,7 @@ SweepPartial DistSweepPool::sweep_source(
   std::vector<Node> set;
   return run_sweep([&]() -> std::optional<UnitSpec> {
     if (done) return std::nullopt;
-    UnitSpec u = base_sweep_unit(UnitKind::kSweepExplicit, sweep_options);
+    UnitSpec u = base_sweep_unit(UnitKind::kSweepExplicit, 0, sweep_options);
     while (u.sets.size() < step && source.next(set)) u.sets.push_back(set);
     if (u.sets.empty()) {
       done = true;
@@ -587,72 +573,62 @@ SweepPartial DistSweepPool::sweep_source(
   });
 }
 
-AdvPartial DistSweepPool::adv_gray(std::uint32_t f, std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvGray, f);
-    u.stop_above = stop_above;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-AdvPartial DistSweepPool::adv_lex(std::uint32_t f, std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(snapshot_->table.num_nodes(), f);
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvLex, f);
-    u.stop_above = stop_above;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
-}
-
-AdvPartial DistSweepPool::adv_sampled(std::uint32_t f, std::uint64_t samples,
-                                      std::uint64_t seed) {
-  const std::uint64_t step = auto_unit_items(samples);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= samples) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvSampled, f);
-    u.seed = seed;
-    u.begin = pos;
-    u.end = std::min(samples, pos + step);
-    pos = u.end;
-    return u;
-  });
+AdvPartial DistSweepPool::adv_lex(std::uint32_t f) {
+  return run_adv(
+      window_feed(base_adv_unit(UnitKind::kAdvLex, f),
+                  enumerable_subsets(snapshot_->table.num_nodes(), f)));
 }
 
 AdvPartial DistSweepPool::adv_climb(std::uint32_t f, std::uint64_t restarts,
                                     std::uint64_t seed, std::uint64_t max_steps,
                                     const std::vector<std::vector<Node>>& seeds) {
+  UnitSpec u = base_adv_unit(UnitKind::kAdvClimb, f);
+  u.seed = seed;
+  u.max_steps = max_steps;
+  // Restart indices into `seeds` are global, so every unit carries the
+  // full (tiny) seed list rather than a window-relative slice.
+  u.climb_seeds = seeds;
   // Mirrors the in-process wrapper: informed seeds extend the restart count.
-  const std::uint64_t total = std::max<std::uint64_t>(restarts, seeds.size());
-  const std::uint64_t step = auto_unit_items(total);
-  std::uint64_t pos = 0;
-  return run_adv([&]() -> std::optional<UnitSpec> {
-    if (pos >= total) return std::nullopt;
-    UnitSpec u = base_adv_unit(UnitKind::kAdvClimb, f);
-    u.seed = seed;
-    u.max_steps = max_steps;
-    // Restart indices into `seeds` are global, so every unit carries the
-    // full (tiny) seed list rather than a window-relative slice.
-    u.climb_seeds = seeds;
-    u.begin = pos;
-    u.end = std::min(total, pos + step);
-    pos = u.end;
-    return u;
-  });
+  return run_adv(window_feed(
+      std::move(u), std::max<std::uint64_t>(restarts, seeds.size())));
 }
+
+namespace {
+
+// The check's phases fanned over a pool: the Gray and sampled phases as
+// sweep units on the workers' sweep engines, the lexicographic and climbing
+// phases as adversary units.
+class PoolBackend final : public CheckBackend {
+ public:
+  explicit PoolBackend(DistSweepPool& pool) : pool_(pool) {
+    sweep_.exec = pool.options().exec;
+  }
+
+  std::optional<AdvPartial> gray(std::uint32_t f) override {
+    return adv_partial_of(pool_.sweep_exhaustive(f, sweep_));
+  }
+  AdvPartial lex(std::uint32_t f) override { return pool_.adv_lex(f); }
+  AdvPartial sampled(std::uint32_t f, std::uint64_t samples,
+                     std::uint64_t seed) override {
+    FaultSweepOptions opts = sweep_;
+    opts.seed = seed;
+    return adv_partial_of(pool_.sweep_sampled(f, samples, opts));
+  }
+  AdvPartial climb(std::uint32_t f, std::uint64_t seed, std::size_t restarts,
+                   std::size_t max_steps,
+                   const std::vector<std::vector<Node>>& seeds) override {
+    return pool_.adv_climb(f, restarts, seed, max_steps, seeds);
+  }
+  std::vector<Node> route_load_ranking() const override {
+    return pool_.snapshot().route_load_ranking;
+  }
+
+ private:
+  DistSweepPool& pool_;
+  FaultSweepOptions sweep_;
+};
+
+}  // namespace
 
 ToleranceReport check_tolerance_distributed(DistSweepPool& pool,
                                             std::uint32_t f,
@@ -660,56 +636,14 @@ ToleranceReport check_tolerance_distributed(DistSweepPool& pool,
                                             Rng& rng,
                                             const ToleranceCheckOptions& options) {
   const TableSnapshot& snap = pool.snapshot();
-  const std::size_t n = snap.table.num_nodes();
+  // f = 0 is one evaluation of the empty set: nothing to distribute.
   if (f == 0) {
-    // Degenerate: one evaluation of the empty set; nothing to distribute.
     return check_tolerance(snap.table, snap.index, f, claimed_bound, rng,
                            options);
   }
-
-  // Mirror of the in-process table-level check, step for step: route-load
-  // hill-climber seeds, ONE seed draw, then the same decision tree with each
-  // search phase fanned over the pool.
-  ToleranceCheckOptions opts = options;
-  if (opts.seeds.empty() && f <= n) {
-    const auto& ranked = snap.route_load_ranking;
-    opts.seeds.emplace_back(ranked.begin(), ranked.begin() + f);
-  }
-  const std::uint64_t seed = rng();
-
-  ToleranceReport report;
-  report.claimed_bound = claimed_bound;
-  report.faults = f;
-  constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
-  if (binomial(n, f) <= opts.exhaustive_budget) {
-    const AdvPartial p = (f <= kGrayFastPathMaxFaults && f <= n)
-                             ? pool.adv_gray(f)
-                             : pool.adv_lex(f);
-    report.worst_diameter = p.any ? p.d : 0;
-    report.worst_faults = p.faults;
-    report.fault_sets_checked = p.evaluations;
-    report.exhaustive = true;
-  } else {
-    const std::uint64_t sampled_seed = Rng::stream(seed, 1)();
-    const std::uint64_t climb_seed = Rng::stream(seed, 2)();
-    AdvPartial best = pool.adv_sampled(f, opts.samples, sampled_seed);
-    AdvPartial climbed =
-        pool.adv_climb(f, opts.hillclimb_restarts, climb_seed,
-                       opts.hillclimb_steps, opts.seeds);
-    std::uint32_t best_d = best.any ? best.d : 0;
-    std::vector<Node> best_faults = std::move(best.faults);
-    const std::uint32_t climbed_d = climbed.any ? climbed.d : 0;
-    if (climbed_d > best_d) {
-      best_d = climbed_d;
-      best_faults = std::move(climbed.faults);
-    }
-    report.worst_diameter = best_d;
-    report.worst_faults = std::move(best_faults);
-    report.fault_sets_checked = best.evaluations + climbed.evaluations;
-    report.exhaustive = false;
-  }
-  report.holds = report.worst_diameter <= claimed_bound;
-  return report;
+  PoolBackend backend(pool);
+  return run_tolerance_check(backend, snap.table.num_nodes(), f,
+                             claimed_bound, rng(), options);
 }
 
 }  // namespace ftr

@@ -6,16 +6,18 @@
 // merge_adversary_partials). Because units carry GLOBAL indices and the
 // merges are associative under the index-order discipline, the merged
 // result — every aggregate, the worst witness, the evaluation count, the
-// early-stop point — is bit-identical to the in-process computation for ANY
-// worker count and ANY unit size.
+// climb's stop point — is bit-identical to the in-process computation for
+// ANY worker count and ANY unit size. The tolerance check runs its one plan
+// here through a pool backend: the Gray and sampled phases as sweeps, the
+// lexicographic and climbing phases as adversary searches.
 //
 // Robustness: a worker that dies mid-unit has its window requeued for the
 // survivors (or executed inline by the coordinator when none remain); a
 // worker that hangs past the per-unit timeout is SIGKILLed and its unit runs
 // inline — so a unit is re-dispatched, never lost and never double-counted
-// (results are keyed and stored once per unit id). Early-stopping searches
-// stop dispatching units past the first stopped one but let in-flight units
-// finish, so the pipes are drained between calls and the pool can be
+// (results are keyed and stored once per unit id). A climb that
+// disconnects the graph stops dispatch past its unit but lets in-flight
+// units finish, so the pipes are drained between calls and the pool can be
 // reused.
 //
 // Table acquisition is snapshot-fed: workers load the binary snapshot
@@ -108,12 +110,10 @@ class DistSweepPool {
   SweepPartial sweep_source(FaultSetSource& source,
                             const FaultSweepOptions& sweep_options);
 
-  // Adversary searches (early-stopping ones stop dispatching past the
-  // first stopped unit; evaluation counts match the in-process scans).
-  AdvPartial adv_gray(std::uint32_t f, std::uint32_t stop_above = 0);
-  AdvPartial adv_lex(std::uint32_t f, std::uint32_t stop_above = 0);
-  AdvPartial adv_sampled(std::uint32_t f, std::uint64_t samples,
-                         std::uint64_t seed);
+  // Adversary searches (the climb stops dispatching past the first unit
+  // whose climb disconnected the graph; evaluation counts match the
+  // in-process scans).
+  AdvPartial adv_lex(std::uint32_t f);
   AdvPartial adv_climb(std::uint32_t f, std::uint64_t restarts,
                        std::uint64_t seed, std::uint64_t max_steps,
                        const std::vector<std::vector<Node>>& seeds = {});
@@ -125,6 +125,8 @@ class DistSweepPool {
 
  private:
   struct Worker;
+  /// Yields the units of one search in generation order, then nullopt.
+  using Feed = std::function<std::optional<UnitSpec>()>;
 
   [[noreturn]] void child_main(int in_fd, int out_fd, unsigned index);
   void spawn_workers();
@@ -134,16 +136,17 @@ class DistSweepPool {
   /// pool numbers them 0..k in generation order), dispatches, recovers, and
   /// stores results. Exactly one of the output vectors fills, positionally
   /// by unit id.
-  void run(const std::function<std::optional<UnitSpec>()>& feed,
-           bool adversary,
+  void run(const Feed& feed, bool adversary,
            std::vector<std::optional<SweepPartial>>& sweeps,
            std::vector<std::optional<AdvPartial>>& advs);
-  SweepPartial run_sweep(const std::function<std::optional<UnitSpec>()>& feed);
-  AdvPartial run_adv(const std::function<std::optional<UnitSpec>()>& feed);
+  SweepPartial run_sweep(const Feed& feed);
+  AdvPartial run_adv(const Feed& feed);
 
-  UnitSpec base_sweep_unit(UnitKind kind,
+  UnitSpec base_sweep_unit(UnitKind kind, std::size_t f,
                            const FaultSweepOptions& sweep_options) const;
   UnitSpec base_adv_unit(UnitKind kind, std::uint32_t f) const;
+  /// Copies of `unit` over auto-sized windows of [0, total).
+  Feed window_feed(UnitSpec unit, std::uint64_t total) const;
 
   const TableSnapshot* snapshot_;
   std::string snapshot_path_;
@@ -153,11 +156,9 @@ class DistSweepPool {
   int payload_fd_ = -1;
 };
 
-/// The distributed mirror of the table-level check_tolerance: same
-/// route-load hill-climber seeds, same single seed draw from `rng`, same
-/// decision tree (gray fast path / lexicographic exhaustion / sampling +
-/// hill-climbing) — but each search phase fans over the pool's workers.
-/// The report is bit-identical to the in-process check.
+/// The table-level check_tolerance with its phases fanned over the pool's
+/// workers: the same plan (run_tolerance_check) on a pool backend, so the
+/// report is bit-identical to the in-process check.
 ToleranceReport check_tolerance_distributed(
     DistSweepPool& pool, std::uint32_t f, std::uint32_t claimed_bound,
     Rng& rng, const ToleranceCheckOptions& options = {});

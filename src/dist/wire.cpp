@@ -61,12 +61,18 @@ class ByteReader {
     pos_ += 8;
     return v;
   }
-  std::vector<Node> nodes() {
+  /// A u32 element count, bounded by the bytes left when each element
+  /// takes at least `min_bytes`: a corrupt count must not drive a huge
+  /// allocation.
+  std::uint32_t count(std::size_t min_bytes) {
     const std::uint32_t len = u32();
-    // Bound before resize: a corrupt count must not drive a huge allocation.
-    FTR_EXPECTS_MSG(std::size_t{len} * 4 <= n_ - pos_,
-                    "wire payload truncated: " << len
-                                               << "-node list exceeds frame");
+    FTR_EXPECTS_MSG(std::size_t{len} * min_bytes <= n_ - pos_,
+                    "wire payload truncated: "
+                        << len << "-element list exceeds frame");
+    return len;
+  }
+  std::vector<Node> nodes() {
+    const std::uint32_t len = count(4);
     std::vector<Node> v(len);
     for (std::uint32_t i = 0; i < len; ++i) v[i] = u32();
     return v;
@@ -146,9 +152,7 @@ const char* unit_kind_name(UnitKind kind) {
     case UnitKind::kSweepGray: return "sweep-gray";
     case UnitKind::kSweepSampled: return "sweep-sampled";
     case UnitKind::kSweepExplicit: return "sweep-explicit";
-    case UnitKind::kAdvGray: return "adv-gray";
     case UnitKind::kAdvLex: return "adv-lex";
-    case UnitKind::kAdvSampled: return "adv-sampled";
     case UnitKind::kAdvClimb: return "adv-climb";
   }
   return "unknown";
@@ -210,7 +214,6 @@ std::vector<unsigned char> encode_unit(const UnitSpec& unit) {
   w.u64(unit.seed);
   w.u64(unit.delivery_pairs);
   w.u64(unit.max_steps);
-  w.u32(unit.stop_above);
   w.exec_policy(unit.exec);
   w.u32(static_cast<std::uint32_t>(unit.sets.size()));
   for (const auto& s : unit.sets) w.nodes(s);
@@ -230,12 +233,12 @@ UnitSpec decode_unit(const std::vector<unsigned char>& payload) {
   u.seed = r.u64();
   u.delivery_pairs = r.u64();
   u.max_steps = r.u64();
-  u.stop_above = r.u32();
   u.exec = r.exec_policy();
-  const std::uint32_t nsets = r.u32();
+  // Every set is at least its own u32 length.
+  const std::uint32_t nsets = r.count(4);
   u.sets.reserve(nsets);
   for (std::uint32_t i = 0; i < nsets; ++i) u.sets.push_back(r.nodes());
-  const std::uint32_t nseeds = r.u32();
+  const std::uint32_t nseeds = r.count(4);
   u.climb_seeds.reserve(nseeds);
   for (std::uint32_t i = 0; i < nseeds; ++i) u.climb_seeds.push_back(r.nodes());
   r.expect_end();

@@ -12,11 +12,11 @@
 // worker surfaces as a loud error or a closed stream, never as data.
 //
 // The protocol is deliberately tiny: the coordinator sends kUnit frames
-// (one UnitSpec each), a worker answers every unit with exactly one
-// kSweepResult/kAdvResult frame (the unit_id leads the payload so the
-// coordinator can merge out-of-order completions in unit order), or a
-// kError frame carrying the exception text. Closing the unit pipe is the
-// shutdown signal.
+// (one UnitSpec each), a worker answers every sweep unit with one
+// kSweepResult frame and every adversary unit with one kAdvResult frame
+// (the unit_id leads the payload so the coordinator can merge out-of-order
+// completions in unit order), or with a kError frame carrying the
+// exception text. Closing the unit pipe is the shutdown signal.
 #pragma once
 
 #include <cstdint>
@@ -43,14 +43,14 @@ enum class FrameType : std::uint32_t {
 /// slice/partial entry points, which take GLOBAL indices — so a unit is
 /// nothing but a window [begin, end) of the task space plus the knobs, and
 /// any re-chunking (or re-dispatch after a worker dies) cannot change the
-/// merged result.
+/// merged result. The sweep kinds also carry the tolerance check's Gray and
+/// sampled phases (delivery off); the check's other two phases are the
+/// adversary kinds.
 enum class UnitKind : std::uint32_t {
   kSweepGray = 1,     // sweep_exhaustive_gray_range over subset ranks
   kSweepSampled = 2,  // SampledStreamSource window through the sweep engine
   kSweepExplicit = 3, // literal fault sets carried in the unit (stdin feeds)
-  kAdvGray = 4,       // exhaustive_worst_faults_gray_slice
   kAdvLex = 5,        // exhaustive_worst_faults_slice (lexicographic)
-  kAdvSampled = 6,    // sampled_worst_faults_slice
   kAdvClimb = 7,      // hillclimb_worst_faults_slice over restart indices
 };
 
@@ -68,7 +68,6 @@ struct UnitSpec {
   std::uint64_t seed = 0;   // stream root (sampling, delivery, climbing)
   std::uint64_t delivery_pairs = 0;  // sweep units only
   std::uint64_t max_steps = 0;       // kAdvClimb step budget
-  std::uint32_t stop_above = 0;      // kAdvGray/kAdvLex early-stop threshold
   /// How the unit executes INSIDE the worker process: threads, kernel,
   /// lanes, batch size. Carried over the wire via the versioned
   /// encode_exec_policy blob (common/exec_policy.hpp) — pure throughput
@@ -99,8 +98,9 @@ bool pop_frame(std::vector<unsigned char>& buf, WireFrame& out);
 /// from a dying peer is a closed stream, not data.
 IoStatus read_frame(int fd, WireFrame& out);
 
-// Payload encode/decode. Decoders are strict (truncation and trailing
-// bytes throw); result payloads lead with the unit_id they answer.
+// Payload encode/decode. Decoders are strict (truncation, trailing bytes,
+// and element counts the remaining bytes cannot hold all throw); result
+// payloads lead with the unit_id they answer.
 std::vector<unsigned char> encode_unit(const UnitSpec& unit);
 UnitSpec decode_unit(const std::vector<unsigned char>& payload);
 

@@ -4,30 +4,12 @@
 
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <string>
 
 #include "common/contracts.hpp"
 #include "common/pipe_io.hpp"
 
 namespace ftr {
-namespace {
-
-// One shared preprocessing, one scratch per worker chunk — the same
-// evaluator shape check_tolerance uses, so a distributed check evaluates
-// exactly what the in-process check would.
-FaultEvaluatorFactory snapshot_evaluator_factory(
-    const TableSnapshot& snapshot) {
-  const std::shared_ptr<const SrgIndex> index = snapshot.index;
-  return [index]() {
-    auto scratch = std::make_shared<SrgScratch>(*index);
-    return [index, scratch](const std::vector<Node>& faults) {
-      return scratch->surviving_diameter(faults);
-    };
-  };
-}
-
-}  // namespace
 
 WorkerFailSpec parse_worker_fail_spec(const char* spec) {
   WorkerFailSpec out;
@@ -85,23 +67,15 @@ AdvPartial execute_adv_unit(const TableSnapshot& snapshot,
   const std::size_t n = snapshot.table.num_nodes();
   const SearchExecution exec{unit.exec};
   switch (unit.kind) {
-    case UnitKind::kAdvGray:
-      return exhaustive_worst_faults_gray_slice(*snapshot.index, unit.f,
-                                                unit.begin, unit.end, exec,
-                                                unit.stop_above);
     case UnitKind::kAdvLex:
       return exhaustive_worst_faults_slice(
-          n, unit.f, snapshot_evaluator_factory(snapshot),
-          unit.begin, unit.end, exec, unit.stop_above);
-    case UnitKind::kAdvSampled:
-      return sampled_worst_faults_slice(
-          n, unit.f, unit.begin, unit.end,
-          snapshot_evaluator_factory(snapshot), unit.seed, exec);
+          n, unit.f, scratch_evaluator_factory(snapshot.index), unit.begin,
+          unit.end, exec);
     case UnitKind::kAdvClimb:
       return hillclimb_worst_faults_slice(
-          n, unit.f, snapshot_evaluator_factory(snapshot),
-          unit.seed, exec, unit.begin, unit.end,
-          static_cast<std::size_t>(unit.max_steps), unit.climb_seeds);
+          n, unit.f, scratch_evaluator_factory(snapshot.index), unit.seed, exec,
+          unit.begin, unit.end, static_cast<std::size_t>(unit.max_steps),
+          unit.climb_seeds);
     default:
       FTR_EXPECTS_MSG(false, "unit kind " << unit_kind_name(unit.kind)
                                           << " is not an adversary search");

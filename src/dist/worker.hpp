@@ -1,8 +1,10 @@
 // The worker side of the distributed sweep layer: a forked child that loads
 // the table snapshot (from a file path or an inherited fd), then sits in a
 // blocking frame loop — read one UnitSpec, execute it through the
-// slice/partial entry points, write back exactly one result frame. Workers
-// never touch stdout; the coordinator owns all user-visible output.
+// slice/partial entry points (sweep units on the sweep engine, adversary
+// units on lexicographic or hill-climbing slices over one SrgScratch per
+// chunk), write back exactly one result frame. Workers never touch stdout;
+// the coordinator owns all user-visible output.
 //
 // execute_sweep_unit / execute_adv_unit are the single execution authority:
 // worker processes and the coordinator's inline fallback (dead/hung worker,

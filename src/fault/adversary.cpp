@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <unordered_set>
 #include <utility>
 
@@ -11,6 +12,16 @@
 #include "graph/bfs.hpp"
 
 namespace ftr {
+
+FaultEvaluatorFactory scratch_evaluator_factory(
+    std::shared_ptr<const SrgIndex> index) {
+  return [index = std::move(index)]() {
+    auto scratch = std::make_shared<SrgScratch>(*index);
+    return [index, scratch](const std::vector<Node>& faults) {
+      return scratch->surviving_diameter(faults);
+    };
+  };
+}
 
 void merge_adversary_partials(AdvPartial& into, const AdvPartial& next) {
   // Once a slice has stopped, everything after it in task order is work the
@@ -36,80 +47,45 @@ void note_stop(std::atomic<std::size_t>& first_stop, std::size_t chunk) {
   }
 }
 
-// The rank-chunked scaffolding shared by every slice scan: chunk the global
-// window [begin, end), run `scan(partial, chunk_begin, chunk_end, aborted)`
-// per chunk with GLOBAL indices (the scan sets partial.stopped when it
-// early-stops), skip or mid-chunk-abort chunks past the first stopped one,
-// and fold the chunk partials in rank order via merge_adversary_partials —
-// the same merge the distributed coordinator applies across worker slices,
-// so inner chunking and outer unit boundaries are interchangeable.
+// The chunked scaffolding shared by every slice scan: chunk the global
+// window [begin, end) by `grain` (0: the sweep heuristic), run
+// `scan(partial, chunk_begin, chunk_end)` per chunk with GLOBAL indices (a
+// climb that disconnects the graph sets partial.stopped), skip chunks past
+// the first stopped one, and fold the chunk partials in index order via
+// merge_adversary_partials — the same merge the distributed coordinator
+// applies across worker slices, so inner chunking and outer unit
+// boundaries are interchangeable.
 template <typename ChunkScan>
 AdvPartial chunked_rank_scan(std::uint64_t begin, std::uint64_t end,
-                             const ExecPolicy& policy, ExecutorStats* executor,
+                             const ExecPolicy& policy, std::size_t grain,
                              const ChunkScan& scan) {
   const unsigned threads = policy.resolved_threads();
   const auto count = static_cast<std::size_t>(end - begin);
-  const std::size_t grain = sweep_grain(count, threads);
-  const std::size_t chunks = num_chunks(count, grain);
-  std::vector<AdvPartial> partials(chunks);
-  std::atomic<std::size_t> first_stop{chunks};
+  if (grain == 0) grain = sweep_grain(count, threads);
+  std::vector<AdvPartial> partials(num_chunks(count, grain));
+  std::atomic<std::size_t> first_stop{partials.size()};
 
-  ExecutorStats stats;
   parallel_for_chunks(
       count, threads, grain,
       [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
-        // A chunk past an already-stopped one will be discarded by the
-        // ordered merge, so skipping — or, via `aborted`, bailing out
-        // mid-scan once a LOWER chunk stops — is a pure optimization. The
-        // per-rank poll matters under the work-stealing executor: workers
-        // start deep in their own partitions rather than in ascending
-        // chunk order, so without it a low-rank stop would be discovered
-        // only after every in-flight high chunk ground to completion.
-        const auto aborted = [&] {
-          return chunk > first_stop.load(std::memory_order_relaxed);
-        };
-        if (aborted()) return;
+        // The ordered merge discards everything past a stopped chunk, so
+        // skipping it is a pure optimization.
+        if (chunk > first_stop.load(std::memory_order_relaxed)) return;
         AdvPartial& p = partials[chunk];
-        scan(p, begin + c_begin, begin + c_end, aborted);
+        scan(p, begin + c_begin, begin + c_end);
         if (p.stopped) note_stop(first_stop, chunk);
-      },
-      &stats);
-  if (executor != nullptr) executor->accumulate(stats);
+      });
 
   AdvPartial acc;
-  for (const auto& p : partials) {
-    merge_adversary_partials(acc, p);
-    if (acc.stopped) break;
-  }
+  for (const auto& p : partials) merge_adversary_partials(acc, p);
   return acc;
-}
-
-// Expands a fully merged partial into the result type of the full-space
-// searchers.
-AdversaryResult result_from_partial(AdvPartial&& p, bool exhaustive_scan,
-                                    const ExecutorStats& executor) {
-  AdversaryResult result;
-  result.worst_diameter = p.any ? p.d : 0;
-  result.worst_faults = std::move(p.faults);
-  result.evaluations = p.evaluations;
-  result.exhaustive = exhaustive_scan && !p.stopped;
-  result.executor = executor;
-  return result;
-}
-
-std::uint64_t checked_total(std::size_t n, std::size_t f) {
-  const std::uint64_t total = binomial(n, f);
-  FTR_EXPECTS_MSG(total != ~std::uint64_t{0},
-                  "C(" << n << "," << f << ") saturated; not enumerable");
-  return total;
 }
 
 }  // namespace
 
 AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
-                                        const FaultEvaluator& eval,
-                                        std::uint32_t stop_above) {
-  FTR_EXPECTS(f <= n);
+                                        const FaultEvaluator& eval) {
+  expect_fault_budget(n, f);
   AdversaryResult result;
   result.exhaustive = true;
   std::vector<Node> faults(f);
@@ -121,10 +97,6 @@ AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
       result.worst_diameter = d;
       result.worst_faults = faults;
     }
-    if (stop_above != 0 && d > stop_above) {
-      result.exhaustive = false;  // aborted early
-      return false;
-    }
     return true;
   });
   return result;
@@ -134,23 +106,16 @@ AdvPartial exhaustive_worst_faults_slice(std::size_t n, std::size_t f,
                                          const FaultEvaluatorFactory& make_eval,
                                          std::uint64_t begin_rank,
                                          std::uint64_t end_rank,
-                                         const SearchExecution& exec,
-                                         std::uint32_t stop_above,
-                                         ExecutorStats* executor) {
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
+                                         const SearchExecution& exec) {
+  const std::uint64_t total = enumerable_subsets(n, f);
   FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
   return chunked_rank_scan(
-      begin_rank, end_rank, exec.exec, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
+      begin_rank, end_rank, exec.exec, 0,
+      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end) {
         const FaultEvaluator eval = make_eval();
         SubsetEnumerator e(n, f, static_cast<std::size_t>(begin));
         std::vector<Node> faults(f);
         for (std::uint64_t r = begin; r < end && e.valid(); ++r, e.advance()) {
-          // A lower chunk stopped: this partial is merge-dead, drop it now
-          // (one relaxed load per rank, dwarfed by the evaluation).
-          if (aborted()) return;
           const auto& subset = e.current();
           for (std::size_t i = 0; i < f; ++i) {
             faults[i] = static_cast<Node>(subset[i]);
@@ -162,125 +127,8 @@ AdvPartial exhaustive_worst_faults_slice(std::size_t n, std::size_t f,
             p.d = d;
             p.faults = faults;
           }
-          if (stop_above != 0 && d > stop_above) {
-            p.stopped = true;
-            break;
-          }
         }
       });
-}
-
-AdversaryResult exhaustive_worst_faults(std::size_t n, std::size_t f,
-                                        const FaultEvaluatorFactory& make_eval,
-                                        const SearchExecution& exec,
-                                        std::uint32_t stop_above) {
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
-  ExecutorStats executor;
-  AdvPartial p = exhaustive_worst_faults_slice(n, f, make_eval, 0, total, exec,
-                                               stop_above, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/true, executor);
-}
-
-AdvPartial exhaustive_worst_faults_gray_slice(const SrgIndex& index,
-                                              std::size_t f,
-                                              std::uint64_t begin_rank,
-                                              std::uint64_t end_rank,
-                                              const SearchExecution& exec,
-                                              std::uint32_t stop_above,
-                                              ExecutorStats* executor) {
-  const std::size_t n = index.num_nodes();
-  FTR_EXPECTS(f <= n);
-  const std::uint64_t total = checked_total(n, f);
-  FTR_EXPECTS(begin_rank <= end_rank && end_rank <= total);
-  const bool packed =
-      exec.exec.resolved_kernel(/*gray_adjacent=*/true) == SrgKernel::kPacked;
-  if (packed) {
-    // Up to lane_width() Gray-adjacent sets per bit-parallel pass. The
-    // lanes of each block are consumed in rank order, so the running best,
-    // the evaluation count, and the early-stop point are exactly the serial
-    // scan's — whatever the block width; the witness is unranked from the
-    // winning rank at chunk end (sorted ascending, like the enumerator's
-    // current()). aborted() is polled per block instead of per rank — a
-    // pure optimization either way, since the ordered merge discards
-    // aborted partials.
-    return chunked_rank_scan(
-        begin_rank, end_rank, exec.exec, executor,
-        [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-            const auto& aborted) {
-          SrgScratch scratch(index);
-          scratch.set_lane_width(exec.exec.lanes);
-          const std::uint64_t lanes = scratch.lane_width();
-          GraySubsetEnumerator e(n, f, begin);
-          SrgScratch::Result res[512];
-          std::uint64_t best_rank = begin;
-          std::uint64_t r = begin;
-          while (r < end) {
-            if (aborted()) return;
-            const auto cnt = static_cast<std::size_t>(
-                std::min<std::uint64_t>(lanes, end - r));
-            scratch.evaluate_gray_block(e, cnt, res);
-            for (std::size_t i = 0; i < cnt; ++i) {
-              const std::uint32_t d = res[i].diameter;
-              ++p.evaluations;
-              if (!p.any || d > p.d) {
-                p.any = true;
-                p.d = d;
-                best_rank = r + i;
-              }
-              if (stop_above != 0 && d > stop_above) {
-                p.stopped = true;
-                break;
-              }
-            }
-            if (p.stopped) break;
-            r += cnt;
-            if (r < end) e.advance();
-          }
-          if (p.any) {
-            const auto worst = gray_subset_at_rank(n, f, best_rank);
-            p.faults.assign(worst.begin(), worst.end());
-          }
-        });
-  }
-  return chunked_rank_scan(
-      begin_rank, end_rank, exec.exec, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        SrgScratch scratch(index);
-        GraySubsetEnumerator e(n, f, begin);
-        std::vector<Node> faults;
-        for (std::uint64_t r = begin; r < end; ++r) {
-          // A lower chunk stopped: this partial is merge-dead, drop it now.
-          if (aborted()) return;
-          // Adjacent ranks differ by one element, which is all evaluate()
-          // re-applies.
-          faults.assign(e.current().begin(), e.current().end());
-          const std::uint32_t d = scratch.evaluate(faults).diameter;
-          ++p.evaluations;
-          if (!p.any || d > p.d) {
-            p.any = true;
-            p.d = d;
-            p.faults = faults;
-          }
-          if (stop_above != 0 && d > stop_above) {
-            p.stopped = true;
-            break;
-          }
-          if (r + 1 < end) e.advance();
-        }
-      });
-}
-
-AdversaryResult exhaustive_worst_faults_gray(const SrgIndex& index,
-                                             std::size_t f,
-                                             const SearchExecution& exec,
-                                             std::uint32_t stop_above) {
-  const std::uint64_t total = checked_total(index.num_nodes(), f);
-  ExecutorStats executor;
-  AdvPartial p = exhaustive_worst_faults_gray_slice(index, f, 0, total, exec,
-                                                    stop_above, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/true, executor);
 }
 
 AdversaryResult sampled_worst_faults(std::size_t n, std::size_t f,
@@ -376,15 +224,12 @@ AdvPartial sampled_worst_faults_slice(std::size_t n, std::size_t f,
                                       std::uint64_t end_index,
                                       const FaultEvaluatorFactory& make_eval,
                                       std::uint64_t seed,
-                                      const SearchExecution& exec,
-                                      ExecutorStats* executor) {
+                                      const SearchExecution& exec) {
   FTR_EXPECTS(f <= n);
   FTR_EXPECTS(begin_index <= end_index);
   return chunked_rank_scan(
-      begin_index, end_index, exec.exec, executor,
-      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end,
-          const auto& aborted) {
-        (void)aborted;  // sampling never early-stops
+      begin_index, end_index, exec.exec, 0,
+      [&](AdvPartial& p, std::uint64_t begin, std::uint64_t end) {
         const FaultEvaluator eval = make_eval();
         for (std::uint64_t i = begin; i < end; ++i) {
           // Sample i is a pure function of (seed, i): thread-count-proof
@@ -403,41 +248,19 @@ AdvPartial sampled_worst_faults_slice(std::size_t n, std::size_t f,
       });
 }
 
-AdversaryResult sampled_worst_faults(std::size_t n, std::size_t f,
-                                     std::size_t samples,
-                                     const FaultEvaluatorFactory& make_eval,
-                                     std::uint64_t seed,
-                                     const SearchExecution& exec) {
-  ExecutorStats executor;
-  AdvPartial p = sampled_worst_faults_slice(n, f, 0, samples, make_eval, seed,
-                                            exec, &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/false,
-                             executor);
-}
-
 AdvPartial hillclimb_worst_faults_slice(
     std::size_t n, std::size_t f, const FaultEvaluatorFactory& make_eval,
     std::uint64_t seed, const SearchExecution& exec,
     std::uint64_t begin_restart, std::uint64_t end_restart,
-    std::size_t max_steps, const std::vector<std::vector<Node>>& seeds,
-    ExecutorStats* executor) {
+    std::size_t max_steps, const std::vector<std::vector<Node>>& seeds) {
   FTR_EXPECTS(f <= n && f > 0);
   FTR_EXPECTS(begin_restart <= end_restart);
-  const auto count = static_cast<std::size_t>(end_restart - begin_restart);
-  std::vector<AdvPartial> partials(count);
-  std::atomic<std::size_t> first_stop{count};
-
-  ExecutorStats stats;
   // One restart per chunk: climbs dominate the cost and balance poorly, so
   // the finest grain gives the scheduler the most room.
-  parallel_for_chunks(
-      count, exec.exec.resolved_threads(), 1,
-      [&](std::size_t chunk, std::size_t c_begin, std::size_t c_end) {
-        (void)c_end;
-        if (chunk > first_stop.load(std::memory_order_relaxed)) return;
-        AdvPartial& p = partials[chunk];
+  return chunked_rank_scan(
+      begin_restart, end_restart, exec.exec, 1,
+      [&](AdvPartial& p, std::uint64_t restart, std::uint64_t) {
         const FaultEvaluator eval = make_eval();
-        const std::uint64_t restart = begin_restart + c_begin;
         Rng rng = Rng::stream(seed, restart);
         std::vector<Node> start;
         if (restart < seeds.size()) {
@@ -452,21 +275,9 @@ AdvPartial hillclimb_worst_faults_slice(
         p.any = true;
         p.d = d;
         p.faults = std::move(faults);
-        if (d == kUnreachable) {
-          p.stopped = true;
-          note_stop(first_stop, chunk);
-        }
-      },
-      &stats);
-  if (executor != nullptr) executor->accumulate(stats);
-
-  AdvPartial acc;
-  for (const auto& p : partials) {
-    merge_adversary_partials(acc, p);
-    // Serial scan breaks after absorbing a disconnecting restart.
-    if (acc.stopped) break;
-  }
-  return acc;
+        // Cannot get worse than disconnected: later restarts are not needed.
+        p.stopped = d == kUnreachable;
+      });
 }
 
 AdversaryResult hillclimb_worst_faults(std::size_t n, std::size_t f,
@@ -484,12 +295,13 @@ AdversaryResult hillclimb_worst_faults(std::size_t n, std::size_t f,
     return result;
   }
   const std::size_t total = std::max(seeds.size(), restarts);
-  ExecutorStats executor;
   AdvPartial p = hillclimb_worst_faults_slice(n, f, make_eval, seed, exec, 0,
-                                              total, max_steps, seeds,
-                                              &executor);
-  return result_from_partial(std::move(p), /*exhaustive_scan=*/false,
-                             executor);
+                                              total, max_steps, seeds);
+  AdversaryResult result;
+  result.worst_diameter = p.any ? p.d : 0;
+  result.worst_faults = std::move(p.faults);
+  result.evaluations = p.evaluations;
+  return result;
 }
 
 }  // namespace ftr

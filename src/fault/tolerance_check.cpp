@@ -25,45 +25,152 @@ std::string ToleranceReport::summary() const {
   return os.str();
 }
 
+AdvPartial adv_partial_of(const SweepPartial& partial) {
+  AdvPartial p;
+  p.d = partial.worst_diameter;
+  p.faults = partial.worst_faults;
+  p.evaluations = partial.sets;
+  p.any = partial.have_worst;
+  return p;
+}
+
+namespace {
+
+// Exhaustive verification of small fault budgets goes through the
+// revolving-door phase: Gray-order enumeration, each set one element away
+// from the last, against the shared index. Beyond f = 3 the one-element
+// deltas no longer dominate the per-set cost, so the lexicographic scan
+// keeps that territory.
+constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
+
+// In-process phases, one evaluator per worker chunk. Given the shared
+// SrgIndex, the Gray and sampled phases run on the sweep engine; without
+// one there is no Gray phase. `table` (null for multi-route tables) ranks
+// the climbers' informed start.
+class InProcessBackend final : public CheckBackend {
+ public:
+  InProcessBackend(std::size_t n, FaultEvaluatorFactory make_eval,
+                   const ExecPolicy& exec,
+                   std::shared_ptr<const SrgIndex> index = nullptr,
+                   const RoutingTable* table = nullptr)
+      : n_(n),
+        make_eval_(std::move(make_eval)),
+        exec_{exec},
+        index_(std::move(index)),
+        table_(table) {
+    sweep_.exec = exec;
+  }
+
+  std::optional<AdvPartial> gray(std::uint32_t f) override {
+    if (index_ == nullptr) return std::nullopt;
+    return adv_partial_of(sweep_exhaustive_gray_range(
+        *index_, f, 0, enumerable_subsets(n_, f), sweep_));
+  }
+  AdvPartial lex(std::uint32_t f) override {
+    return exhaustive_worst_faults_slice(n_, f, make_eval_, 0,
+                                         enumerable_subsets(n_, f), exec_);
+  }
+  AdvPartial sampled(std::uint32_t f, std::uint64_t samples,
+                     std::uint64_t seed) override {
+    if (index_ == nullptr) {
+      return sampled_worst_faults_slice(n_, f, 0, samples, make_eval_, seed,
+                                        exec_);
+    }
+    SampledStreamSource source(n_, f, samples, seed);
+    return adv_partial_of(
+        sweep_fault_source_partial(*index_, source, 0, sweep_));
+  }
+  AdvPartial climb(std::uint32_t f, std::uint64_t seed, std::size_t restarts,
+                   std::size_t max_steps,
+                   const std::vector<std::vector<Node>>& seeds) override {
+    AdversaryResult r = hillclimb_worst_faults(n_, f, make_eval_, seed, exec_,
+                                               restarts, max_steps, seeds);
+    AdvPartial p;
+    p.d = r.worst_diameter;
+    p.faults = std::move(r.worst_faults);
+    p.evaluations = r.evaluations;
+    p.any = true;
+    return p;
+  }
+  std::vector<Node> route_load_ranking() const override {
+    if (table_ == nullptr) return {};
+    return nodes_by_route_load(*table_);
+  }
+
+ private:
+  std::size_t n_;
+  FaultEvaluatorFactory make_eval_;
+  SearchExecution exec_;
+  FaultSweepOptions sweep_;
+  std::shared_ptr<const SrgIndex> index_;
+  const RoutingTable* table_;
+};
+
+// The index-level check both table flavors run.
+ToleranceReport check_on_index(const std::shared_ptr<const SrgIndex>& index,
+                               const RoutingTable* table, std::uint32_t f,
+                               std::uint32_t claimed_bound, Rng& rng,
+                               const ToleranceCheckOptions& options) {
+  const std::size_t n = index->num_nodes();
+  InProcessBackend backend(n, scratch_evaluator_factory(index), options.exec,
+                           index, table);
+  return run_tolerance_check(backend, n, f, claimed_bound, rng(), options);
+}
+
+}  // namespace
+
+ToleranceReport run_tolerance_check(CheckBackend& backend, std::size_t n,
+                                    std::uint32_t f,
+                                    std::uint32_t claimed_bound,
+                                    std::uint64_t seed,
+                                    const ToleranceCheckOptions& options) {
+  expect_fault_budget(n, f);
+  ToleranceReport report;
+  report.claimed_bound = claimed_bound;
+  report.faults = f;
+  AdvPartial worst;
+  if (binomial(n, f) <= options.exhaustive_budget) {
+    std::optional<AdvPartial> gray;
+    if (f <= kGrayFastPathMaxFaults) gray = backend.gray(f);
+    worst = gray ? std::move(*gray) : backend.lex(f);
+    report.exhaustive = true;
+  } else {
+    // Independent stream roots for the two search phases, both derived from
+    // the one seed so the whole report is a pure function of it.
+    worst = backend.sampled(f, options.samples, Rng::stream(seed, 1)());
+    std::vector<std::vector<Node>> seeds = options.seeds;
+    if (seeds.empty() && f > 0) {
+      // Knocking out the busiest nodes first is the natural informed attack.
+      const std::vector<Node> ranked = backend.route_load_ranking();
+      if (!ranked.empty()) {
+        seeds.emplace_back(ranked.begin(), ranked.begin() + f);
+      }
+    }
+    AdvPartial climbed =
+        backend.climb(f, Rng::stream(seed, 2)(), options.hillclimb_restarts,
+                      options.hillclimb_steps, seeds);
+    if ((climbed.any ? climbed.d : 0) > (worst.any ? worst.d : 0)) {
+      worst.d = climbed.d;
+      worst.faults = std::move(climbed.faults);
+      worst.any = true;
+    }
+    worst.evaluations += climbed.evaluations;
+  }
+  report.worst_diameter = worst.any ? worst.d : 0;
+  report.worst_faults = std::move(worst.faults);
+  report.fault_sets_checked = worst.evaluations;
+  report.holds = report.worst_diameter <= claimed_bound;
+  return report;
+}
+
 ToleranceReport check_tolerance_with(std::size_t n,
                                      const FaultEvaluatorFactory& make_eval,
                                      std::uint32_t f,
                                      std::uint32_t claimed_bound,
                                      std::uint64_t seed,
                                      const ToleranceCheckOptions& options) {
-  ToleranceReport report;
-  report.claimed_bound = claimed_bound;
-  report.faults = f;
-  const SearchExecution exec{options.exec};
-
-  if (binomial(n, f) <= options.exhaustive_budget) {
-    const AdversaryResult r = exhaustive_worst_faults(n, f, make_eval, exec);
-    report.worst_diameter = r.worst_diameter;
-    report.worst_faults = r.worst_faults;
-    report.fault_sets_checked = r.evaluations;
-    report.exhaustive = true;
-  } else {
-    // Independent stream roots for the two search phases, both derived from
-    // the one seed so the whole report is a pure function of it.
-    const std::uint64_t sampled_seed = Rng::stream(seed, 1)();
-    const std::uint64_t climb_seed = Rng::stream(seed, 2)();
-    AdversaryResult best = sampled_worst_faults(n, f, options.samples,
-                                                make_eval, sampled_seed, exec);
-    AdversaryResult climbed = hillclimb_worst_faults(
-        n, f, make_eval, climb_seed, exec, options.hillclimb_restarts,
-        options.hillclimb_steps, options.seeds);
-    if (climbed.worst_diameter > best.worst_diameter) {
-      best.worst_diameter = climbed.worst_diameter;
-      best.worst_faults = std::move(climbed.worst_faults);
-    }
-    best.evaluations += climbed.evaluations;
-    report.worst_diameter = best.worst_diameter;
-    report.worst_faults = std::move(best.worst_faults);
-    report.fault_sets_checked = best.evaluations;
-    report.exhaustive = false;
-  }
-  report.holds = report.worst_diameter <= claimed_bound;
-  return report;
+  InProcessBackend backend(n, make_eval, options.exec);
+  return run_tolerance_check(backend, n, f, claimed_bound, seed, options);
 }
 
 ToleranceReport check_tolerance_with(std::size_t n, const FaultEvaluator& eval,
@@ -77,89 +184,20 @@ ToleranceReport check_tolerance_with(std::size_t n, const FaultEvaluator& eval,
   return check_tolerance_with(n, make_eval, f, claimed_bound, rng(), serial);
 }
 
-namespace {
-
-// One shared preprocessing, one scratch per worker chunk: the canonical
-// parallel-sweep evaluator.
-FaultEvaluatorFactory engine_evaluator_factory(
-    const std::shared_ptr<const SrgIndex>& index) {
-  return [index]() {
-    auto scratch = std::make_shared<SrgScratch>(*index);
-    return [index, scratch](const std::vector<Node>& faults) {
-      return scratch->surviving_diameter(faults);
-    };
-  };
-}
-
-// Exhaustive verification of small fault budgets goes through the
-// revolving-door fast path: Gray-order enumeration, each set one element
-// away from the last, against the shared index. Beyond f = 3 the
-// one-element deltas no longer dominate the per-set cost, so the generic
-// chunked lexicographic scan keeps that territory.
-constexpr std::uint32_t kGrayFastPathMaxFaults = 3;
-
-// The index-level check: gray fast path when the budget allows exhausting
-// f <= 3, otherwise the sampled + hill-climbing adversary via the evaluator
-// factory. The index is a handle so worker evaluators can co-own it.
-ToleranceReport check_tolerance_index(const std::shared_ptr<const SrgIndex>& index,
-                                      std::uint32_t f,
-                                      std::uint32_t claimed_bound,
-                                      std::uint64_t seed,
-                                      const ToleranceCheckOptions& options) {
-  const std::size_t n = index->num_nodes();
-  if (f <= kGrayFastPathMaxFaults && f <= n &&
-      binomial(n, f) <= options.exhaustive_budget) {
-    ToleranceReport report;
-    report.claimed_bound = claimed_bound;
-    report.faults = f;
-    const AdversaryResult r =
-        exhaustive_worst_faults_gray(*index, f, SearchExecution{options.exec});
-    report.worst_diameter = r.worst_diameter;
-    report.worst_faults = r.worst_faults;
-    report.fault_sets_checked = r.evaluations;
-    report.exhaustive = true;
-    report.holds = report.worst_diameter <= claimed_bound;
-    return report;
-  }
-  return check_tolerance_with(n,
-                              engine_evaluator_factory(index),
-                              f, claimed_bound, seed, options);
-}
-
-// Route-load-targeted hill-climber seeds: knocking out the busiest nodes
-// first is the natural informed attack. Applied for single-route tables
-// only (matching the historical behavior of the table-level overloads).
-ToleranceCheckOptions with_route_load_seeds(const RoutingTable& table,
-                                            std::uint32_t f,
-                                            const ToleranceCheckOptions& options) {
-  ToleranceCheckOptions opts = options;
-  if (opts.seeds.empty() && f > 0 && f <= table.num_nodes()) {
-    const auto ranked = nodes_by_route_load(table);
-    std::vector<Node> top(ranked.begin(), ranked.begin() + f);
-    opts.seeds.push_back(std::move(top));
-  }
-  return opts;
-}
-
-}  // namespace
-
 ToleranceReport check_tolerance(const RoutingTable& table,
                                 const std::shared_ptr<const SrgIndex>& index,
                                 std::uint32_t f, std::uint32_t claimed_bound,
                                 Rng& rng, const ToleranceCheckOptions& options) {
-  FTR_EXPECTS(index != nullptr);
-  FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance_index(index, f, claimed_bound, rng(),
-                               with_route_load_seeds(table, f, options));
+  FTR_EXPECTS(index != nullptr && index->num_nodes() == table.num_nodes());
+  return check_on_index(index, &table, f, claimed_bound, rng, options);
 }
 
 ToleranceReport check_tolerance(const MultiRouteTable& table,
                                 const std::shared_ptr<const SrgIndex>& index,
                                 std::uint32_t f, std::uint32_t claimed_bound,
                                 Rng& rng, const ToleranceCheckOptions& options) {
-  FTR_EXPECTS(index != nullptr);
-  FTR_EXPECTS(index->num_nodes() == table.num_nodes());
-  return check_tolerance_index(index, f, claimed_bound, rng(), options);
+  FTR_EXPECTS(index != nullptr && index->num_nodes() == table.num_nodes());
+  return check_on_index(index, nullptr, f, claimed_bound, rng, options);
 }
 
 ToleranceReport check_tolerance(const RoutingTable& table, std::uint32_t f,

@@ -36,13 +36,6 @@ TEST(Adversary, ExhaustiveZeroFaults) {
   EXPECT_TRUE(r.worst_faults.empty());
 }
 
-TEST(Adversary, ExhaustiveEarlyStop) {
-  const auto r = exhaustive_worst_faults(10, 2, sum_eval(), /*stop_above=*/5);
-  EXPECT_FALSE(r.exhaustive);  // aborted once a >5 set appeared
-  EXPECT_GT(r.worst_diameter, 5u);
-  EXPECT_LT(r.evaluations, binomial(10, 2));
-}
-
 TEST(Adversary, SampledStaysBelowExhaustive) {
   Rng rng(1);
   const auto ex = exhaustive_worst_faults(8, 2, sum_eval());

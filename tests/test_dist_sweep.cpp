@@ -15,6 +15,7 @@
 #include "dist/wire.hpp"
 #include "dist/worker.hpp"
 #include "gen/generators.hpp"
+#include "graph/bfs.hpp"
 #include "routing/kernel.hpp"
 #include "routing/serialization.hpp"
 
@@ -82,7 +83,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   u.seed = 0xdeadbeefcafe;
   u.delivery_pairs = 5;
   u.max_steps = 13;
-  u.stop_above = 4;
   u.exec.batch_size = 77;
   u.exec.kernel = SrgKernel::kBitset;
   u.exec.threads = 2;
@@ -98,7 +98,6 @@ TEST(DistWire, UnitAndResultPayloadsRoundtrip) {
   EXPECT_EQ(d.seed, u.seed);
   EXPECT_EQ(d.delivery_pairs, u.delivery_pairs);
   EXPECT_EQ(d.max_steps, u.max_steps);
-  EXPECT_EQ(d.stop_above, u.stop_above);
   EXPECT_EQ(d.exec.batch_size, u.exec.batch_size);
   EXPECT_EQ(d.exec.kernel, u.exec.kernel);
   EXPECT_EQ(d.exec.threads, u.exec.threads);
@@ -171,6 +170,31 @@ TEST(DistWire, FramesReassembleFromArbitraryByteArrivals) {
   corrupt.back() ^= 0x01;
   std::vector<unsigned char> cbuf(corrupt.begin(), corrupt.end());
   EXPECT_THROW(pop_frame(cbuf, out), ContractViolation);
+}
+
+// A unit whose checksum is valid but whose set or seed count exceeds what
+// the remaining bytes could hold fails as a ContractViolation before any
+// allocation (a 0xFFFFFFFF count must not reach reserve()).
+TEST(DistWire, DecodeUnitRejectsInflatedSetCounts) {
+  UnitSpec u;
+  u.kind = UnitKind::kSweepExplicit;
+  u.sets = {{1, 2}};
+  u.climb_seeds = {{3}};
+  const auto good = encode_unit(u);
+  // The two counts are the last u32s before their lists: {1, 2} takes 12
+  // bytes and {3} takes 8, so the seed count sits 12 bytes from the end and
+  // the set count 12 + 4 + 12 bytes from the end.
+  for (const std::size_t from_end : {std::size_t{12}, std::size_t{28}}) {
+    auto bad = good;
+    for (std::size_t i = 0; i < 4; ++i) bad[bad.size() - from_end + i] = 0xff;
+    EXPECT_THROW(decode_unit(bad), ContractViolation) << from_end;
+    // The frame layer does not save the decoder: the checksum is valid.
+    std::vector<unsigned char> buf = pack_frame(FrameType::kUnit, bad);
+    WireFrame frame;
+    ASSERT_TRUE(pop_frame(buf, frame));
+    EXPECT_THROW(decode_unit(frame.payload), ContractViolation) << from_end;
+  }
+  EXPECT_EQ(decode_unit(good).sets, u.sets);
 }
 
 // The merge authority: folding window partials in order must equal the
@@ -315,23 +339,81 @@ TEST(DistCheck, SampledPlusHillclimbPathMatchesInProcess) {
   }
 }
 
-TEST(DistAdv, GrayEarlyStopMatchesInProcessEvaluationForEvaluation) {
-  const Rig rig;
-  // stop_above = 1 trips on the first set whose surviving diameter exceeds
-  // 1, so most of the rank space is never evaluated; the distributed scan
-  // must stop at the same global rank with the same count.
-  const auto want = exhaustive_worst_faults_gray(*rig.snap.index, 2,
-                                                 SearchExecution{}, 1);
+// A ring routed over its edges only: two non-adjacent faults split it, so
+// a climb reaches kUnreachable and stops the climbs after it. The pool must
+// stop at the same restart — same witness, same evaluation count — for any
+// worker count and unit size, including one restart per unit, where the
+// coordinator's stop bound keeps later units from being dispatched.
+TEST(DistCheck, DisconnectingClimbStopsLikeInProcess) {
+  const auto gg = cycle_graph(12);
+  RoutingTable table(12, RoutingMode::kBidirectional);
+  install_edge_routes(table, gg.graph);
+  const TableSnapshot snap = make_table_snapshot(gg.graph, table);
+  ToleranceCheckOptions opts;
+  opts.exhaustive_budget = 1;  // force the adversarial path
+  opts.samples = 10;
+  opts.hillclimb_restarts = 6;
+  opts.hillclimb_steps = 8;
+  Rng rng_local(3);
+  const auto want = check_tolerance(table, 2, 6, rng_local, opts);
+  ASSERT_EQ(want.worst_diameter, kUnreachable);
+  // Every restart evaluates at least its start set, so fewer climb
+  // evaluations than restarts means the later restarts were discarded.
+  ASSERT_LT(want.fault_sets_checked, opts.samples + opts.hillclimb_restarts);
   for (const unsigned workers : {1u, 3u}) {
-    for (const std::uint64_t unit_items : {std::uint64_t{1}, std::uint64_t{5},
-                                           std::uint64_t{0}}) {
-      DistSweepPool pool(rig.snap, "", rig.pool_options(workers, unit_items));
-      const AdvPartial p = pool.adv_gray(2, 1);
-      EXPECT_EQ(p.any ? p.d : 0, want.worst_diameter);
-      EXPECT_EQ(p.faults, want.worst_faults);
-      EXPECT_EQ(p.evaluations, want.evaluations);
-      EXPECT_TRUE(p.stopped);
+    for (const std::uint64_t unit_items :
+         {std::uint64_t{1}, std::uint64_t{0}}) {
+      Rng rng(3);
+      DistSweepPool pool(snap, "", Rig().pool_options(workers, unit_items));
+      expect_report_equal(check_tolerance_distributed(pool, 2, 6, rng, opts),
+                          want);
     }
+  }
+}
+
+// f > n has no fault sets: both backends refuse it before running, with a
+// message naming f and n (the pool used to report 0 sets and HOLDS).
+TEST(DistCheck, FaultBudgetAboveNodeCountFailsOnEveryBackend) {
+  const Rig rig;  // n = 16
+  const auto expect_refused = [](const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << "f = 17 > n = 16 was accepted";
+    } catch (const ContractViolation& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("f=17"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("n=16"), std::string::npos) << msg;
+    }
+  };
+  expect_refused([&] {
+    Rng rng(1);
+    check_tolerance(rig.kr.table, 17, 6, rng);
+  });
+  // The plan refuses before asking any backend for a phase.
+  struct NoPhases final : CheckBackend {
+    std::optional<AdvPartial> gray(std::uint32_t) override { return fail(); }
+    AdvPartial lex(std::uint32_t) override { return *fail(); }
+    AdvPartial sampled(std::uint32_t, std::uint64_t, std::uint64_t) override {
+      return *fail();
+    }
+    AdvPartial climb(std::uint32_t, std::uint64_t, std::size_t, std::size_t,
+                     const std::vector<std::vector<Node>>&) override {
+      return *fail();
+    }
+    static std::optional<AdvPartial> fail() {
+      ADD_FAILURE() << "a phase ran for f > n";
+      return AdvPartial{};
+    }
+  };
+  NoPhases none;
+  expect_refused([&] { run_tolerance_check(none, 16, 17, 6, 1, {}); });
+  for (const unsigned workers : {1u, 2u}) {
+    DistSweepPool pool(rig.snap, "", rig.pool_options(workers, 0));
+    expect_refused([&] {
+      Rng rng(1);
+      check_tolerance_distributed(pool, 17, 6, rng);
+    });
+    expect_refused([&] { pool.sweep_exhaustive(17, FaultSweepOptions{}); });
   }
 }
 

@@ -337,7 +337,7 @@ TEST(FaultStream, GraySweepWorstWitnessIsConsistent) {
             summary.worst_index);
 }
 
-// --- the Gray exhaustive adversary ------------------------------------------
+// --- the Gray exhaustive scan the tolerance check runs ----------------------
 
 TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
   const auto gg = torus_graph(5, 5);
@@ -351,15 +351,16 @@ TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
         return scratch.surviving_diameter(f);
       });
 
-  AdversaryResult base;
+  SweepPartial base;
   bool have_base = false;
   for (unsigned threads : kThreadCounts) {
+    FaultSweepOptions opts;
+    opts.exec.threads = threads;
     const auto gray =
-        exhaustive_worst_faults_gray(*index, 2, SearchExecution{{.threads = threads}});
+        sweep_exhaustive_gray_range(*index, 2, 0, binomial(25, 2), opts);
     // Same ground truth (the max over all sets) and the same coverage...
     EXPECT_EQ(gray.worst_diameter, serial.worst_diameter);
-    EXPECT_EQ(gray.evaluations, serial.evaluations);
-    EXPECT_TRUE(gray.exhaustive);
+    EXPECT_EQ(gray.sets, serial.evaluations);
     // ...the witness may be a different set (gray vs lex order), but must
     // attain the max.
     SrgScratch scratch(*index);
@@ -373,34 +374,7 @@ TEST(AdversaryGray, MatchesLexicographicGroundTruth) {
     }
     EXPECT_EQ(gray.worst_faults, base.worst_faults);
     EXPECT_EQ(gray.worst_diameter, base.worst_diameter);
-    EXPECT_EQ(gray.evaluations, base.evaluations);
-  }
-}
-
-TEST(AdversaryGray, EarlyStopIsThreadInvariant) {
-  const auto gg = torus_graph(5, 5);
-  const auto kr = build_kernel_routing(gg.graph, 3);
-  auto index = std::make_shared<const SrgIndex>(kr.table);
-  // Any diameter > 2 stops the scan; the kernel table has such sets at
-  // f = 3, so the scan aborts early and must do so identically for any
-  // thread count.
-  AdversaryResult base;
-  bool have_base = false;
-  for (unsigned threads : kThreadCounts) {
-    const auto r = exhaustive_worst_faults_gray(*index, 3,
-                                                SearchExecution{{.threads = threads}},
-                                                /*stop_above=*/2);
-    if (!have_base) {
-      base = r;
-      have_base = true;
-      EXPECT_FALSE(r.exhaustive);  // it really did abort
-      EXPECT_GT(r.worst_diameter, 2u);
-      continue;
-    }
-    EXPECT_EQ(r.worst_faults, base.worst_faults);
-    EXPECT_EQ(r.worst_diameter, base.worst_diameter);
-    EXPECT_EQ(r.evaluations, base.evaluations);
-    EXPECT_EQ(r.exhaustive, base.exhaustive);
+    EXPECT_EQ(gray.sets, base.sets);
   }
 }
 
@@ -409,13 +383,13 @@ TEST(AdversaryGray, DegenerateBudgets) {
   const auto kr = build_kernel_routing(gg.graph, 1);
   const SrgIndex index(kr.table);
   // f = 0: exactly one (empty) evaluation.
-  const auto none = exhaustive_worst_faults_gray(index, 0);
-  EXPECT_EQ(none.evaluations, 1u);
-  EXPECT_TRUE(none.exhaustive);
+  const auto none = sweep_exhaustive_gray_range(index, 0, 0, 1);
+  EXPECT_EQ(none.sets, 1u);
+  EXPECT_TRUE(none.have_worst);
   EXPECT_TRUE(none.worst_faults.empty());
   // f = n: the single everyone-faulty set has diameter 0 by convention.
-  const auto all = exhaustive_worst_faults_gray(index, 8);
-  EXPECT_EQ(all.evaluations, 1u);
+  const auto all = sweep_exhaustive_gray_range(index, 8, 0, 1);
+  EXPECT_EQ(all.sets, 1u);
   EXPECT_EQ(all.worst_diameter, 0u);
 }
 

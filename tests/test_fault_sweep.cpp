@@ -130,6 +130,26 @@ TEST(FaultSweep, HistogramAccountsForEverySet) {
             summary.worst_diameter);
 }
 
+// A stream shorter than one batch per worker is still split over every
+// worker (the chunk grain shrinks to the batch's share), with output equal
+// to the one-thread run.
+TEST(FaultSweep, ShortStreamSplitsOverAllThreads) {
+  const auto gg = torus_graph(5, 5);
+  const auto kr = build_kernel_routing(gg.graph, 3);
+  const SrgIndex index(kr.table);
+  FaultSweepOptions one;
+  one.exec.threads = 1;
+  SampledStreamSource base_source(25, 3, 512, 17);
+  const auto base = sweep_fault_source(kr.table, index, base_source, one);
+  FaultSweepOptions two = one;
+  two.exec.threads = 2;
+  SampledStreamSource source(25, 3, 512, 17);
+  const auto got = sweep_fault_source(kr.table, index, source, two);
+  EXPECT_EQ(got.executor.workers, 2u);
+  expect_same_summary(base, got);
+  EXPECT_EQ(got.worst_faults, base.worst_faults);
+}
+
 TEST(ToleranceCheck, ReportThreadInvariant) {
   for (const auto& entry : construction_tables()) {
     // Exhaustive path (small f) and adversarial path (forced budget).
@@ -185,33 +205,11 @@ TEST(Adversary, ParallelExhaustiveEqualsSerial) {
   };
   for (unsigned threads : kThreadCounts) {
     const auto par =
-        exhaustive_worst_faults(25, 2, factory, SearchExecution{{.threads = threads}});
-    EXPECT_EQ(par.worst_diameter, serial.worst_diameter);
-    EXPECT_EQ(par.worst_faults, serial.worst_faults);
+        exhaustive_worst_faults_slice(25, 2, factory, 0, binomial(25, 2),
+                                      SearchExecution{{.threads = threads}});
+    EXPECT_EQ(par.d, serial.worst_diameter);
+    EXPECT_EQ(par.faults, serial.worst_faults);
     EXPECT_EQ(par.evaluations, serial.evaluations);
-    EXPECT_TRUE(par.exhaustive);
-  }
-}
-
-TEST(Adversary, ParallelEarlyStopEqualsSerial) {
-  // A synthetic landscape where rank order is known: diameter = sum of
-  // fault ids, early-stop above 9. The parallel scan must report the same
-  // witness, the same worst value, and the same evaluation count as the
-  // serial scan, for any thread count.
-  const FaultEvaluator eval = [](const std::vector<Node>& f) {
-    std::uint32_t s = 0;
-    for (Node v : f) s += v;
-    return s;
-  };
-  const auto serial = exhaustive_worst_faults(12, 2, eval, /*stop_above=*/9);
-  const FaultEvaluatorFactory factory = [&eval]() { return eval; };
-  for (unsigned threads : kThreadCounts) {
-    const auto par = exhaustive_worst_faults(12, 2, factory,
-                                             SearchExecution{{.threads = threads}}, 9);
-    EXPECT_EQ(par.worst_diameter, serial.worst_diameter);
-    EXPECT_EQ(par.worst_faults, serial.worst_faults);
-    EXPECT_EQ(par.evaluations, serial.evaluations);
-    EXPECT_FALSE(par.exhaustive);
   }
 }
 
@@ -225,16 +223,16 @@ TEST(Adversary, SampledAndHillclimbThreadInvariant) {
       return scratch->surviving_diameter(f);
     };
   };
-  const auto sampled_base =
-      sampled_worst_faults(25, 3, 50, factory, 77, SearchExecution{{.threads = 1}});
+  const auto sampled_base = sampled_worst_faults_slice(
+      25, 3, 0, 50, factory, 77, SearchExecution{{.threads = 1}});
   const auto climbed_base = hillclimb_worst_faults(
       25, 3, factory, 77, SearchExecution{{.threads = 1}}, 4, 8, {{0, 1, 2}});
   EXPECT_EQ(sampled_base.evaluations, 50u);
   for (unsigned threads : kThreadCounts) {
-    const auto s =
-        sampled_worst_faults(25, 3, 50, factory, 77, SearchExecution{{.threads = threads}});
-    EXPECT_EQ(s.worst_diameter, sampled_base.worst_diameter);
-    EXPECT_EQ(s.worst_faults, sampled_base.worst_faults);
+    const auto s = sampled_worst_faults_slice(
+        25, 3, 0, 50, factory, 77, SearchExecution{{.threads = threads}});
+    EXPECT_EQ(s.d, sampled_base.d);
+    EXPECT_EQ(s.faults, sampled_base.faults);
     EXPECT_EQ(s.evaluations, sampled_base.evaluations);
     const auto h = hillclimb_worst_faults(25, 3, factory, 77,
                                           SearchExecution{{.threads = threads}}, 4, 8,

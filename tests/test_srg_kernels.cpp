@@ -151,10 +151,8 @@ FaultSweepSummary oracle_gray_summary(const RoutingTable& table, std::size_t f,
 }
 
 // The Gray-order adversary scan on the oracle: first worst set in rank
-// order, every set counted, stopping after the first set above
-// `stop_above` (0 = never).
-AdversaryResult oracle_gray_scan(const RoutingTable& table, std::size_t f,
-                                 std::uint32_t stop_above = 0) {
+// order, every set counted.
+AdversaryResult oracle_gray_scan(const RoutingTable& table, std::size_t f) {
   AdversaryResult r;
   r.exhaustive = true;
   GraySubsetEnumerator e(table.num_nodes(), f);
@@ -165,10 +163,6 @@ AdversaryResult oracle_gray_scan(const RoutingTable& table, std::size_t f,
     if (r.evaluations == 1 || d > r.worst_diameter) {
       r.worst_diameter = d;
       r.worst_faults = faults;
-    }
-    if (stop_above != 0 && d > stop_above) {
-      r.exhaustive = false;
-      break;
     }
   } while (e.advance());
   return r;
@@ -350,6 +344,8 @@ TEST(SrgKernels, StdinSourceAllKernelsIdentical) {
   }
 }
 
+// The check's Gray phase: the index-only range scan, read as an adversary
+// partial, against the oracle's first-worst-in-gray-order scan.
 TEST(SrgKernels, AdversaryGrayScanIdenticalAcrossKernels) {
   for (const auto& entry : construction_tables()) {
     const SrgIndex index(entry.table);
@@ -357,50 +353,17 @@ TEST(SrgKernels, AdversaryGrayScanIdenticalAcrossKernels) {
     for (const SrgKernel kernel : kAllKernels) {
       for (unsigned threads : kThreadCounts) {
         for (unsigned lanes : widths_for(kernel)) {
-          const auto got = exhaustive_worst_faults_gray(
-              index, entry.f, SearchExecution{{.threads = threads, .kernel = kernel, .lanes = lanes}});
+          FaultSweepOptions opts;
+          opts.exec = {.threads = threads, .kernel = kernel, .lanes = lanes};
+          const AdvPartial got = adv_partial_of(sweep_exhaustive_gray_range(
+              index, entry.f, 0, base.evaluations, opts));
           SCOPED_TRACE(entry.name + " kernel=" + srg_kernel_name(kernel) +
                        " threads=" + std::to_string(threads) + " lanes=" +
                        std::to_string(lanes));
-          EXPECT_EQ(base.worst_diameter, got.worst_diameter);
-          EXPECT_EQ(base.worst_faults, got.worst_faults);
+          EXPECT_EQ(base.worst_diameter, got.d);
+          EXPECT_EQ(base.worst_faults, got.faults);
           EXPECT_EQ(base.evaluations, got.evaluations);
-          EXPECT_EQ(base.exhaustive, got.exhaustive);
         }
-      }
-    }
-  }
-}
-
-// Early stop must abort after the SAME evaluation for every kernel AND
-// every lane width: the packed scan consumes its lanes in rank order and
-// counts each set before testing the threshold, exactly like the
-// one-at-a-time loops — a 512-lane block may hold the witness in lane 3 and
-// must not charge the other 509 lanes it already computed.
-TEST(SrgKernels, AdversaryGrayEarlyStopIdenticalAcrossKernels) {
-  // Cycle with edge routes only: two adjacent faults leave a long path
-  // (finite d up to 9), two non-adjacent ones split the ring (kUnreachable)
-  // — either way the scan hits a set exceeding 6 and must stop there.
-  const auto gg = cycle_graph(12);
-  RoutingTable t(12, RoutingMode::kBidirectional);
-  install_edge_routes(t, gg.graph);
-  const SrgIndex index(t);
-  const auto base = oracle_gray_scan(t, 2, /*stop_above=*/6);
-  ASSERT_GT(base.worst_diameter, 6u);
-  ASSERT_LT(base.evaluations, binomial(12, 2));  // the stop actually fired
-  for (const SrgKernel kernel : kAllKernels) {
-    for (unsigned threads : kThreadCounts) {
-      for (unsigned lanes : widths_for(kernel)) {
-        const auto got = exhaustive_worst_faults_gray(
-            index, 2, SearchExecution{{.threads = threads, .kernel = kernel, .lanes = lanes}},
-            /*stop_above=*/6);
-        SCOPED_TRACE(std::string(srg_kernel_name(kernel)) + " threads=" +
-                     std::to_string(threads) + " lanes=" +
-                     std::to_string(lanes));
-        EXPECT_EQ(base.worst_diameter, got.worst_diameter);
-        EXPECT_EQ(base.worst_faults, got.worst_faults);
-        EXPECT_EQ(base.evaluations, got.evaluations);
-        EXPECT_EQ(base.exhaustive, got.exhaustive);
       }
     }
   }

@@ -4,7 +4,8 @@
 # --threads 1 and --threads 4 for every verb that fans out work, across
 # every --kernel choice and every packed --lanes width on the exhaustive
 # sweep, and across --workers process counts on the distributed
-# sweep/check. This is the executable form of the repo's determinism
+# sweep and on every branch of the check (Gray, lexicographic, sampled +
+# hill-climbing). This is the executable form of the repo's determinism
 # contract — if a thread count
 # or kernel choice ever leaks into stdout, this script (and the CI job
 # running it) fails on the cmp.
@@ -179,6 +180,25 @@ for w in 1 4; do
     > "${WORK}/dcheck.${w}.out" 2> /dev/null
   cmp "${WORK}/check.1.out" "${WORK}/dcheck.${w}.out"
 done
+# The check's other two branches: lexicographic exhaustion (C(25, 4) fits
+# the budget, f > 3) and sampling + hill-climbing (C(64, 3) does not).
+"${CLI}" gen torus 8 8 > "${WORK}/graph8.ftg"
+"${CLI}" build --seed 42 < "${WORK}/graph8.ftg" \
+  > "${WORK}/table8.ftt" 2> /dev/null
+for w in 0 1 4; do
+  "${CLI}" check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --faults 4 --claimed 6 --seed 7 --workers "${w}" \
+    > "${WORK}/lexcheck.${w}.out" 2> /dev/null || true
+  "${CLI}" check "${WORK}/graph8.ftg" "${WORK}/table8.ftt" \
+    --faults 3 --claimed 8 --seed 7 --workers "${w}" \
+    > "${WORK}/advcheck.${w}.out" 2> /dev/null || true
+done
+grep -q "exhaustive, 12650 sets" "${WORK}/lexcheck.0.out"
+grep -q "adversarial" "${WORK}/advcheck.0.out"
+for w in 1 4; do
+  cmp "${WORK}/lexcheck.0.out" "${WORK}/lexcheck.${w}.out"
+  cmp "${WORK}/advcheck.0.out" "${WORK}/advcheck.${w}.out"
+done
 
 # Golden stdout: byte-exact outputs pinned before the CLI/exec-policy
 # refactor. Any drift in what these verbs print is a behavior change and
@@ -258,6 +278,28 @@ expect_usage_error check --kernel scalar
 expect_usage_error sweep --executor steal
 expect_usage_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
   --stdin --exhaustive
+
+# A fault budget above the node count has no fault sets: check and sweep
+# refuse it (exit 1, naming f and n) in-process and distributed alike.
+echo "== fault budget above the node count rejected"
+expect_contract_error() {
+  local rc=0
+  "${CLI}" "$@" > /dev/null 2> "${WORK}/neg.err" < /dev/null || rc=$?
+  if [[ "${rc}" -ne 1 ]] \
+      || ! grep -q "f=26 exceeds the n=25" "${WORK}/neg.err"; then
+    echo "error: ftroute $* exited ${rc}, want 1 naming f and n" >&2
+    cat "${WORK}/neg.err" >&2
+    exit 1
+  fi
+}
+for w in 0 2; do
+  expect_contract_error check "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --faults 26 --workers "${w}"
+  expect_contract_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --faults 26 --exhaustive --workers "${w}"
+  expect_contract_error sweep "${WORK}/graph.ftg" "${WORK}/table.ftt" \
+    --faults 26 --sets 5 --workers "${w}"
+done
 
 # Planner-built snapshots (no routes file) must serve like seed-built
 # manifests: same planner seed, same table, same bytes.
